@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use tt_asr::CorpusConfig;
 use tt_cache::CacheConfig;
 use tt_core::objective::Objective;
@@ -79,11 +79,21 @@ impl Workload {
         }
     }
 
+    /// Length of one measured sub-window. Each holds over 1,000
+    /// requests, enough for a p99 with ten samples beyond it; the closed
+    /// loops complete that many in a small fraction of a second.
+    pub fn chunk(self) -> Duration {
+        match self {
+            Workload::AsrTiers => Duration::from_secs(2),
+            Workload::HotPath | Workload::FleetZipf => Duration::from_millis(500),
+        }
+    }
+
     /// Set-ups per untraced run; `setup_s` is their median.
     pub fn setups(self) -> usize {
         match self {
             Workload::AsrTiers => 3,
-            Workload::HotPath | Workload::FleetZipf => 5,
+            Workload::HotPath | Workload::FleetZipf => 9,
         }
     }
 

@@ -8,6 +8,7 @@
 //! driver itself ran is reported beside it.
 
 use crate::client::{render_request, ResponseParser, WireResponse};
+use crate::probe;
 use crate::stats;
 use crate::sys::{self, Cpu, HostCpu, Interest};
 use rand::rngs::StdRng;
@@ -53,65 +54,33 @@ pub enum Pace {
     },
 }
 
-/// Length of the sub-windows the measured window is cut into. Timings
-/// and CPU are taken per sub-window and reported as the median across
-/// them, so a burst of host noise moves a few sub-windows, not the
-/// result. Two seconds holds over 1,000 requests on the slowest
-/// workload, enough for a p99 with ten samples beyond it.
-const CHUNK_SECONDS: f64 = 2.0;
-
-/// The measured window and its sub-windows, ns on the shared clock.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Window {
-    /// Start (after warm-up).
-    pub start: u64,
-    /// End; nothing is sent after it.
-    pub end: u64,
-    /// Sub-windows.
-    pub chunks: usize,
-}
-
-impl Window {
-    fn new(start: u64, end: u64) -> Self {
-        let seconds = (end - start) as f64 / 1e9;
-        Window {
-            start,
-            end,
-            chunks: ((seconds / CHUNK_SECONDS).round() as usize).max(1),
-        }
-    }
-
-    /// The sub-window holding `t`, if `t` is inside the window.
-    pub fn chunk(&self, t: u64) -> Option<usize> {
-        (self.start..self.end).contains(&t).then(|| {
-            ((t - self.start) as u128 * self.chunks as u128 / (self.end - self.start) as u128)
-                as usize
-        })
-    }
-
-    /// Nominal length of one sub-window, seconds.
-    pub fn chunk_seconds(&self) -> f64 {
-        (self.end - self.start) as f64 / 1e9 / self.chunks as f64
-    }
-
-    fn boundary(&self, i: usize) -> u64 {
-        self.start + ((self.end - self.start) as u128 * i as u128 / self.chunks as u128) as u64
-    }
-}
-
 /// What one sub-window cost.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ChunkStats {
-    /// Wall time between the snapshots that bound it.
+    /// Wall time from its first send until its last answer.
     pub seconds: f64,
     /// Process CPU minus the driver thread's.
     pub server_cpu: Cpu,
+    /// The driver thread's CPU.
+    pub driver_cpu: Cpu,
     /// Host CPU time stolen by the hypervisor, as a share.
     pub steal_share: f64,
     /// Responses completed.
     pub completed: u64,
     /// `200`s completed.
     pub ok: u64,
+    /// The host reference around it: the mean of the readings taken
+    /// just before and just after it, ns per round trip.
+    pub reference_ns: f64,
+}
+
+impl ChunkStats {
+    /// How much faster than nominal the host ran the reference around
+    /// this sub-window: multiply a duration by it to put it at the
+    /// nominal host speed.
+    pub fn host_scale(&self) -> f64 {
+        probe::NOMINAL_NS / self.reference_ns.max(1.0)
+    }
 }
 
 /// One pass of load.
@@ -123,13 +92,23 @@ pub struct Plan {
     pub conns: usize,
     /// Load before the measured window (not measured).
     pub warmup: Duration,
-    /// The measured window.
+    /// The measured window: the sum of its sub-windows, pauses not
+    /// included.
     pub measure: Duration,
+    /// Length of one sub-window.
+    pub chunk: Duration,
     /// Traced passes: stamp each request with this base plus its
     /// stream index.
     pub tag: Option<u64>,
     /// Seeds the arrival schedule.
     pub seed: u64,
+}
+
+impl Plan {
+    /// Sub-windows in the measured window.
+    pub fn chunks(&self) -> usize {
+        ((self.measure.as_secs_f64() / self.chunk.as_secs_f64()).round() as usize).max(1)
+    }
 }
 
 /// One finished request, handed to the caller as it completes.
@@ -147,7 +126,7 @@ pub struct Done<'a> {
     pub first_byte: u64,
     /// When its response was complete, ns.
     pub done: u64,
-    /// The measured sub-window it was due in, if any.
+    /// The measured sub-window it was sent in, if any.
     pub chunk: Option<usize>,
     /// `None` for a transport failure.
     pub response: Option<WireResponse>,
@@ -160,37 +139,84 @@ pub struct PassStats {
     pub sent: u64,
     /// Requests that failed on the transport (no response).
     pub transport_failures: u64,
-    /// Requests sent (or due) in the measured window.
+    /// Requests sent (or due) in the measured sub-windows.
     pub measured: u64,
-    /// The measured window.
-    pub window: Window,
-    /// Per sub-window costs, one per sub-window once the window closed.
+    /// Length of one sub-window, seconds.
+    pub chunk_seconds: f64,
+    /// Per sub-window costs.
     pub chunks: Vec<ChunkStats>,
-    /// Responses completed after the window opened.
-    pub completed_in_window: u64,
-    /// `200`s completed after the window opened.
-    pub ok_in_window: u64,
-    /// Process CPU from window start until drained.
-    pub process_cpu: Cpu,
-    /// The driver thread's share of `process_cpu`.
-    pub driver_cpu: Cpu,
+    /// The host reference readings (ns per request), one before each
+    /// sub-window and one after the last.
+    pub readings: Vec<f64>,
     /// Open loop: send time minus due time per measured request, ns.
     pub late_ns: Vec<f64>,
-    /// Host steal share over the window.
+    /// Host steal share over the measured sub-windows.
     pub steal_share: f64,
 }
 
 impl PassStats {
+    /// Server-side CPU (process minus the driver thread) over the
+    /// measured sub-windows.
+    pub fn server_cpu(&self) -> Cpu {
+        self.chunks
+            .iter()
+            .fold(Cpu::default(), |sum, c| sum.plus(c.server_cpu))
+    }
+
+    /// The driver thread's CPU over the measured sub-windows.
+    pub fn driver_cpu(&self) -> Cpu {
+        self.chunks
+            .iter()
+            .fold(Cpu::default(), |sum, c| sum.plus(c.driver_cpu))
+    }
+
+    /// Responses completed in the measured sub-windows.
+    pub fn completed(&self) -> u64 {
+        self.chunks.iter().map(|c| c.completed).sum()
+    }
+
     /// The sub-windows in which the hypervisor stole no more CPU than in
-    /// the median sub-window: at least half of them. A neighbour's burst
-    /// shows up as steal, and the reported medians are taken over these
-    /// sub-windows only.
+    /// the sub-window a third of the way up from the least stolen: at
+    /// least a third of them. Steal marks a neighbour's bursts, and even
+    /// 2% of it doubles the open loop's p99; the reported medians are
+    /// taken over these sub-windows only.
     pub fn quiet_chunks(&self) -> Vec<usize> {
         let steal: Vec<f64> = self.chunks.iter().map(|c| c.steal_share).collect();
-        let Some(limit) = stats::median(&steal) else {
+        let Some(limit) = stats::percentile(&steal, 1.0 / 3.0) else {
             return Vec::new();
         };
         (0..steal.len()).filter(|&i| steal[i] <= limit).collect()
+    }
+}
+
+/// Where a pass is.
+#[derive(Debug, Clone, Copy)]
+enum Phase {
+    /// Load, not measured, until the given time.
+    Warmup { until: u64 },
+    /// Load in sub-window `index` until the given time.
+    Measure { index: usize, until: u64 },
+    /// Sending stopped at `since`; once nothing is in flight, the
+    /// reference is read and sub-window `next` opens (or the pass ends).
+    Pause { next: usize, since: u64 },
+}
+
+/// Clocks read at either end of a sub-window.
+struct Snapshot {
+    at: u64,
+    process: Cpu,
+    driver: Cpu,
+    host: HostCpu,
+}
+
+impl Snapshot {
+    fn now(clock: &Clock) -> io::Result<Snapshot> {
+        Ok(Snapshot {
+            at: clock.now(),
+            process: sys::process_cpu(),
+            driver: sys::thread_cpu(),
+            host: HostCpu::read()?,
+        })
     }
 }
 
@@ -199,6 +225,7 @@ struct Pending {
     due: u64,
     sent: u64,
     first_byte: Option<u64>,
+    chunk: Option<usize>,
 }
 
 struct Conn {
@@ -245,9 +272,16 @@ impl Conn {
 /// Run one pass against `addr`, feeding `stream` (cycled from index 0)
 /// and calling `on_done` for every request as it finishes.
 ///
+/// After warm-up the pass runs `plan.chunks()` sub-windows. Before
+/// each, and after the last, sending stops, the pipeline drains and the
+/// host reference is read; so every sub-window starts and ends with
+/// nothing in flight and has a host-speed reading on both sides. The
+/// open loop's schedule is shifted past each pause, so no request is
+/// charged for it.
+///
 /// # Errors
 ///
-/// Connecting, or the readiness wait, failing.
+/// Connecting, the readiness wait, or the reference failing.
 pub fn drive(
     addr: SocketAddr,
     stream: &[ServiceRequest],
@@ -259,55 +293,35 @@ pub fn drive(
         !stream.is_empty() && plan.conns > 0,
         "empty stream or no connections"
     );
+    let mut reference = probe::Reference::start(plan.conns)?;
     let mut conns = (0..plan.conns)
         .map(|_| Conn::open(addr))
         .collect::<io::Result<Vec<_>>>()?;
     let mut rng = StdRng::seed_from_u64(plan.seed ^ 0x5eed_0a11_0c0d_e5e7);
-    let mut stats = PassStats::default();
+    let chunks = plan.chunks();
+    let chunk_ns = plan.measure.as_nanos() as u64 / chunks as u64;
+    let mut stats = PassStats {
+        chunk_seconds: chunk_ns as f64 / 1e9,
+        ..PassStats::default()
+    };
     let start = clock.now();
-    let window_start = start + plan.warmup.as_nanos() as u64;
-    let end = window_start + plan.measure.as_nanos() as u64;
-    let drain_deadline = end + DRAIN_LIMIT.as_nanos() as u64;
-    let w = Window::new(window_start, end);
-    stats.window = w;
-    // Snapshots at each sub-window boundary: (time, server CPU, host
-    // CPU, completed, ok).
-    let mut marks: Vec<(u64, Cpu, HostCpu, u64, u64)> = Vec::with_capacity(w.chunks + 1);
+    let mut phase = Phase::Warmup {
+        until: start + plan.warmup.as_nanos() as u64,
+    };
+    let mut opening: Option<Snapshot> = None;
     let mut next_index = 0u64;
     let mut next_due = start;
-    let mut opening: Option<(Cpu, Cpu, HostCpu)> = None;
     let mut read_buf = vec![0u8; 64 * 1024];
     let mut interests = Vec::with_capacity(conns.len());
     let open = matches!(plan.pace, Pace::Open { .. });
 
     loop {
         let now = clock.now();
-        if opening.is_none() && now >= window_start {
-            opening = Some((sys::process_cpu(), sys::thread_cpu(), HostCpu::read()?));
-        }
-        while marks.len() <= w.chunks && now >= w.boundary(marks.len()) {
-            let server = sys::process_cpu().since(sys::thread_cpu());
-            marks.push((
-                now,
-                server,
-                HostCpu::read()?,
-                stats.completed_in_window,
-                stats.ok_in_window,
-            ));
-        }
-        let sending = now < end && conns.iter().any(|c| !c.dead);
-        let in_flight = conns.iter().any(|c| !c.pending.is_empty());
-        if !sending && !in_flight {
-            break;
-        }
-        if !sending && now >= drain_deadline {
-            for conn in &mut conns {
-                fail_all(conn, stream, &w, &mut stats, clock, on_done);
-            }
-            break;
-        }
-
-        if sending {
+        if let Phase::Warmup { until } | Phase::Measure { until, .. } = phase {
+            let chunk = match phase {
+                Phase::Measure { index, .. } => Some(index),
+                _ => None,
+            };
             let mut enqueue = |conn: &mut Conn, due: u64, sent: u64| {
                 let index = next_index;
                 next_index += 1;
@@ -318,9 +332,10 @@ pub fn drive(
                     due,
                     sent,
                     first_byte: None,
+                    chunk,
                 });
                 stats.sent += 1;
-                if (window_start..end).contains(&due) {
+                if chunk.is_some() {
                     stats.measured += 1;
                     if open {
                         stats.late_ns.push(sent.saturating_sub(due) as f64);
@@ -328,40 +343,91 @@ pub fn drive(
                 }
             };
             match plan.pace {
-                Pace::Closed => {
+                Pace::Closed if now < until => {
                     for conn in conns.iter_mut().filter(|c| !c.dead && c.pending.is_empty()) {
                         let t = clock.now();
                         enqueue(conn, t, t);
                     }
                 }
+                Pace::Closed => {}
                 Pace::Open { rate } => {
-                    while next_due <= now && next_due < end {
-                        let conn = conns
+                    while next_due <= now && next_due < until {
+                        let Some(conn) = conns
                             .iter_mut()
                             .filter(|c| !c.dead)
                             .min_by_key(|c| c.pending.len())
-                            .expect("a live connection while sending");
+                        else {
+                            break;
+                        };
                         enqueue(conn, next_due, clock.now());
                         let u: f64 = rng.gen();
                         next_due += (-(1.0 - u).ln() / rate * 1e9) as u64;
                     }
                 }
             }
+            if now >= until || conns.iter().all(|c| c.dead) {
+                let next = chunk.map_or(0, |index| index + 1);
+                phase = Phase::Pause { next, since: until };
+            }
         }
         for conn in conns.iter_mut().filter(|c| !c.dead && !c.out.is_empty()) {
             if conn.flush().is_err() {
-                fail_all(conn, stream, &w, &mut stats, clock, on_done);
+                fail_all(conn, stream, &mut stats, clock, on_done);
             }
         }
 
-        let now = clock.now();
-        let until = match plan.pace {
-            Pace::Open { .. } if now < end => next_due.min(end),
-            _ if now < window_start => window_start,
-            _ if now < end => end,
-            _ => drain_deadline,
+        if let Phase::Pause { next, since } = phase {
+            let in_flight = conns.iter().any(|c| !c.pending.is_empty());
+            if in_flight && clock.now() >= since + DRAIN_LIMIT.as_nanos() as u64 {
+                for conn in &mut conns {
+                    fail_all(conn, stream, &mut stats, clock, on_done);
+                }
+                continue;
+            }
+            if !in_flight {
+                if let Some(o) = opening.take() {
+                    let closed = Snapshot::now(clock)?;
+                    let chunk = &mut stats.chunks[next - 1];
+                    chunk.seconds = (closed.at - o.at) as f64 / 1e9;
+                    let driver = closed.driver.since(o.driver);
+                    chunk.driver_cpu = driver;
+                    chunk.server_cpu = closed.process.since(o.process).since(driver);
+                    chunk.steal_share = closed.host.steal_share_since(o.host);
+                    stats.steal_share += chunk.steal_share / chunks as f64;
+                }
+                stats.readings.push(reference.read()?);
+                if let (Some(chunk), [.., before, after]) =
+                    (next.checked_sub(1), &stats.readings[..])
+                {
+                    stats.chunks[chunk].reference_ns = (before + after) / 2.0;
+                }
+                if next == chunks || conns.iter().all(|c| c.dead) {
+                    break;
+                }
+                let o = Snapshot::now(clock)?;
+                next_due += o.at - since;
+                phase = Phase::Measure {
+                    index: next,
+                    until: o.at + chunk_ns,
+                };
+                stats.chunks.push(ChunkStats::default());
+                opening = Some(o);
+                continue;
+            }
+        }
+
+        let until = match phase {
+            Phase::Warmup { until } | Phase::Measure { until, .. } => until,
+            Phase::Pause { since, .. } => since + DRAIN_LIMIT.as_nanos() as u64,
         };
-        let timeout = Duration::from_nanos(until.saturating_sub(now)).min(MAX_WAIT);
+        let now = clock.now();
+        let wake = match (plan.pace, phase) {
+            (Pace::Open { .. }, Phase::Warmup { .. } | Phase::Measure { .. }) => {
+                next_due.min(until)
+            }
+            _ => until,
+        };
+        let timeout = Duration::from_nanos(wake.saturating_sub(now)).min(MAX_WAIT);
         interests.clear();
         interests.extend(
             conns
@@ -376,26 +442,10 @@ pub fn drive(
         let live = conns.iter_mut().filter(|c| !c.dead);
         for (conn, ready) in live.zip(interests.iter()) {
             if ready.readable_now {
-                read_ready(conn, &mut read_buf, stream, &w, &mut stats, clock, on_done);
+                read_ready(conn, &mut read_buf, stream, &mut stats, clock, on_done);
             }
         }
     }
-
-    let (cpu0, thread0, host0) =
-        opening.unwrap_or((sys::process_cpu(), sys::thread_cpu(), HostCpu::read()?));
-    stats.process_cpu = sys::process_cpu().since(cpu0);
-    stats.driver_cpu = sys::thread_cpu().since(thread0);
-    stats.steal_share = HostCpu::read()?.steal_share_since(host0);
-    stats.chunks = marks
-        .windows(2)
-        .map(|pair| ChunkStats {
-            seconds: (pair[1].0 - pair[0].0) as f64 / 1e9,
-            server_cpu: pair[1].1.since(pair[0].1),
-            steal_share: pair[1].2.steal_share_since(pair[0].2),
-            completed: pair[1].3 - pair[0].3,
-            ok: pair[1].4 - pair[0].4,
-        })
-        .collect();
     Ok(stats)
 }
 
@@ -404,14 +454,13 @@ fn read_ready(
     conn: &mut Conn,
     buf: &mut [u8],
     stream: &[ServiceRequest],
-    window: &Window,
     stats: &mut PassStats,
     clock: &Clock,
     on_done: &mut dyn FnMut(Done<'_>),
 ) {
     loop {
         match conn.stream.read(buf) {
-            Ok(0) => break fail_all(conn, stream, window, stats, clock, on_done),
+            Ok(0) => break fail_all(conn, stream, stats, clock, on_done),
             Ok(n) => {
                 let now = clock.now();
                 if let Some(front) = conn.pending.front_mut() {
@@ -422,9 +471,9 @@ fn read_ready(
                     match conn.parser.next_response() {
                         Ok(Some(response)) => {
                             let Some(pending) = conn.pending.pop_front() else {
-                                break fail_all(conn, stream, window, stats, clock, on_done);
+                                break fail_all(conn, stream, stats, clock, on_done);
                             };
-                            finish(pending, Some(response), now, stream, window, stats, on_done);
+                            finish(pending, Some(response), now, stream, stats, on_done);
                             if let Some(next) = conn.pending.front_mut() {
                                 if !conn.parser.is_empty() {
                                     next.first_byte.get_or_insert(now);
@@ -433,7 +482,7 @@ fn read_ready(
                         }
                         Ok(None) => break,
                         Err(_) => {
-                            fail_all(conn, stream, window, stats, clock, on_done);
+                            fail_all(conn, stream, stats, clock, on_done);
                             return;
                         }
                     }
@@ -444,7 +493,7 @@ fn read_ready(
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => break fail_all(conn, stream, window, stats, clock, on_done),
+            Err(_) => break fail_all(conn, stream, stats, clock, on_done),
         }
     }
 }
@@ -455,14 +504,14 @@ fn finish(
     response: Option<WireResponse>,
     done: u64,
     stream: &[ServiceRequest],
-    window: &Window,
     stats: &mut PassStats,
     on_done: &mut dyn FnMut(Done<'_>),
 ) {
-    if done >= window.start {
-        stats.completed_in_window += 1;
+    if let Some(chunk) = pending.chunk {
+        let chunk = &mut stats.chunks[chunk];
+        chunk.completed += 1;
         if response.as_ref().is_some_and(|r| r.status == 200) {
-            stats.ok_in_window += 1;
+            chunk.ok += 1;
         }
     }
     if response.is_none() {
@@ -475,7 +524,7 @@ fn finish(
         sent: pending.sent,
         first_byte: pending.first_byte.unwrap_or(done),
         done,
-        chunk: window.chunk(pending.due),
+        chunk: pending.chunk,
         response,
     });
 }
@@ -484,7 +533,6 @@ fn finish(
 fn fail_all(
     conn: &mut Conn,
     stream: &[ServiceRequest],
-    window: &Window,
     stats: &mut PassStats,
     clock: &Clock,
     on_done: &mut dyn FnMut(Done<'_>),
@@ -492,6 +540,6 @@ fn fail_all(
     conn.dead = true;
     let now = clock.now();
     while let Some(pending) = conn.pending.pop_front() {
-        finish(pending, None, now, stream, window, stats, on_done);
+        finish(pending, None, now, stream, stats, on_done);
     }
 }

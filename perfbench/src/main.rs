@@ -17,6 +17,7 @@ mod checks;
 mod client;
 mod deploy;
 mod driver;
+mod probe;
 mod run;
 mod stats;
 mod sys;

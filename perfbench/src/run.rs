@@ -7,6 +7,7 @@ use crate::deploy::{
     boot, probe_request, BootOptions, Deployment, SetupTimes, Workload, STREAM_LEN,
 };
 use crate::driver::{drive, ChunkStats, Clock, Done, Pace, PassStats, Plan};
+use crate::probe;
 use crate::stats::{self, Summary};
 use crate::sys;
 use crate::trace::{layer_table, render_table, write_spans, Span, SpanLog};
@@ -204,6 +205,7 @@ impl Pass {
             conns: connections(),
             warmup: Duration::from_secs_f64((measure / 4.0).min(1.0)),
             measure: Duration::from_secs_f64(measure),
+            chunk: args.workload.chunk().min(Duration::from_secs_f64(measure)),
             tag,
             seed: args.seed,
         };
@@ -217,33 +219,43 @@ impl Pass {
         Ok(Pass { stats, samples })
     }
 
-    /// Median over the quiet sub-windows of the `200`s completed per
-    /// second.
-    fn throughput_rps(&self) -> f64 {
-        self.quiet_median(|c| c.ok as f64 / c.seconds.max(1e-9))
+    /// `200`s completed per second: the median over the quiet
+    /// sub-windows, at the nominal host speed and raw.
+    fn throughput_rps(&self) -> Scaled {
+        self.per_chunk(|c| c.ok as f64 / c.seconds.max(1e-9), |v, scale| v / scale)
     }
 
-    /// Server-side CPU (process minus the driver thread) over the whole
-    /// window, drain included.
-    fn server_cpu(&self) -> sys::Cpu {
-        self.stats.process_cpu.since(self.stats.driver_cpu)
+    /// Server-side CPU per completed request, µs: the median over the
+    /// quiet sub-windows, at the nominal host speed and raw.
+    fn cpu_us_per_req(&self) -> Scaled {
+        self.per_chunk(
+            |c| c.server_cpu.total_us() / c.completed.max(1) as f64,
+            |v, scale| v * scale,
+        )
     }
 
-    /// Median over the quiet sub-windows of server-side CPU per
-    /// completed request.
-    fn cpu_us_per_req(&self) -> f64 {
-        self.quiet_median(|c| c.server_cpu.total_us() / c.completed.max(1) as f64)
-    }
-
-    /// Median of `metric` over the quiet sub-windows.
-    fn quiet_median(&self, metric: impl Fn(&ChunkStats) -> f64) -> f64 {
-        let values: Vec<f64> = self
+    /// Median over the quiet sub-windows of `metric`, raw and put at the
+    /// nominal host speed by `nominal(value, host_scale)`.
+    fn per_chunk(
+        &self,
+        metric: impl Fn(&ChunkStats) -> f64,
+        nominal: impl Fn(f64, f64) -> f64,
+    ) -> Scaled {
+        let quiet: Vec<&ChunkStats> = self
             .stats
             .quiet_chunks()
             .into_iter()
-            .map(|i| metric(&self.stats.chunks[i]))
+            .map(|i| &self.stats.chunks[i])
             .collect();
-        median_or_zero(&values)
+        let raw: Vec<f64> = quiet.iter().map(|c| metric(c)).collect();
+        let scaled: Vec<f64> = quiet
+            .iter()
+            .map(|c| nominal(metric(c), c.host_scale()))
+            .collect();
+        Scaled {
+            at_nominal: median_or_zero(&scaled),
+            raw: median_or_zero(&raw),
+        }
     }
 
     /// Every measured latency, pooled.
@@ -252,20 +264,51 @@ impl Pass {
     }
 }
 
-/// Median over the quiet sub-windows of each one's p50 and p99, with
-/// the pooled sample for the sample-count note. `None` without samples.
-fn chunked(per_chunk: &[Vec<f64>], quiet: &[usize]) -> Option<(f64, f64, Summary)> {
-    let summaries: Vec<Summary> = quiet
-        .iter()
-        .filter_map(|&i| Summary::of(per_chunk.get(i)?))
-        .collect();
-    let p50: Vec<f64> = summaries.iter().map(|s| s.p50).collect();
-    let p99: Vec<f64> = summaries.iter().map(|s| s.p99).collect();
-    Some((
-        stats::median(&p50)?,
-        stats::median(&p99)?,
-        Summary::of(&per_chunk.concat())?,
-    ))
+/// A host-speed-dependent metric: the median over the quiet sub-windows
+/// of each one's value scaled to the nominal host speed, and of the raw
+/// values. The report shows both.
+#[derive(Debug, Clone, Copy, Default)]
+struct Scaled {
+    at_nominal: f64,
+    raw: f64,
+}
+
+/// Latency percentiles of one class of requests over the sub-windows.
+#[derive(Debug, Clone, Copy, Default)]
+struct Latency {
+    p50: Scaled,
+    p99: Scaled,
+    /// Every sample, pooled, for the sample-count note.
+    pooled: Summary,
+}
+
+/// Median over the quiet sub-windows of each one's p50 and p99, raw and
+/// scaled to the nominal host speed by that sub-window's reference.
+/// `None` without samples.
+fn chunked(per_chunk: &[Vec<f64>], pass: &PassStats) -> Option<Latency> {
+    let mut p50 = (Vec::new(), Vec::new());
+    let mut p99 = (Vec::new(), Vec::new());
+    for i in pass.quiet_chunks() {
+        let Some(s) = per_chunk.get(i).and_then(|samples| Summary::of(samples)) else {
+            continue;
+        };
+        let scale = pass.chunks[i].host_scale();
+        p50.0.push(s.p50 * scale);
+        p50.1.push(s.p50);
+        p99.0.push(s.p99 * scale);
+        p99.1.push(s.p99);
+    }
+    let scaled = |(at_nominal, raw): &(Vec<f64>, Vec<f64>)| -> Option<Scaled> {
+        Some(Scaled {
+            at_nominal: stats::median(at_nominal)?,
+            raw: stats::median(raw)?,
+        })
+    };
+    Some(Latency {
+        p50: scaled(&p50)?,
+        p99: scaled(&p99)?,
+        pooled: Summary::of(&per_chunk.concat())?,
+    })
 }
 
 /// Keep-alive connections: one per CPU, but no more than the server's
@@ -358,10 +401,13 @@ pub fn untraced(args: &Args) -> io::Result<Outcome> {
     deployment.shutdown()?;
 
     let s = &pass.samples;
+    let chunks = &pass.stats.chunks;
     let quiet = pass.stats.quiet_chunks();
-    let (p50, p99, pooled) = chunked(&s.latency_ms, &quiet).unwrap_or_default();
-    let strict = chunked(&s.strict_ms, &quiet);
-    let loose = chunked(&s.loose_ms, &quiet);
+    let all = chunked(&s.latency_ms, &pass.stats).unwrap_or_default();
+    let strict = chunked(&s.strict_ms, &pass.stats);
+    let loose = chunked(&s.loose_ms, &pass.stats);
+    let throughput = pass.throughput_rps();
+    let cpu = pass.cpu_us_per_req();
     let setup_s = stats::median(&setups).expect("set-ups ran");
     let prefix = s.prefix_answers.max(1) as f64;
     let usd_per_1k = s.prefix_price / prefix * 1000.0;
@@ -381,58 +427,90 @@ pub fn untraced(args: &Args) -> io::Result<Outcome> {
             .collect::<Vec<_>>()
             .join(", ")
     ));
+    let readings = &pass.stats.readings;
+    report.push(format!(
+        "host reference: {} readings, median {:.0} ns per request (nominal {:.0} ns), \
+         range {:.0}..{:.0} ns; timings below are medians over the {} of {} sub-windows of {:.2} s \
+         with the least steal (a third or more), each scaled by nominal / its reference, \
+         then [raw]",
+        readings.len(),
+        median_or_zero(readings),
+        probe::NOMINAL_NS,
+        readings.iter().copied().fold(f64::MAX, f64::min),
+        readings.iter().copied().fold(0.0, f64::max),
+        quiet.len(),
+        chunks.len(),
+        pass.stats.chunk_seconds,
+    ));
     let smallest = s.latency_ms.iter().map(Vec::len).min().unwrap_or(0);
     report.push(format!(
-        "latency {}: p50 {p50:.4} ms, p99 {p99:.4} ms (median over quiet sub-windows of {:.2} s, {} in all; pooled {}; smallest sub-window n={smallest}, {} beyond its p99)",
+        "latency {}: p50 {:.4} [{:.4}] ms, p99 {:.4} [{:.4}] ms (pooled {}; smallest sub-window n={smallest}, {} beyond its p99)",
         match args.workload.pace() {
             Pace::Open { rate } => format!("open loop at {rate} rps, timed from due time"),
             Pace::Closed => format!("closed loop on {} connections", connections()),
         },
-        pass.stats.window.chunk_seconds(),
-        pass.stats.window.chunks,
-        pooled.note(),
+        all.p50.at_nominal,
+        all.p50.raw,
+        all.p99.at_nominal,
+        all.p99.raw,
+        all.pooled.note(),
         stats::beyond(smallest, 0.99),
     ));
     report.push(format!(
-        "p99 by sub-window: {}",
+        "throughput {:.0} [{:.0}] rps; server CPU {:.3} [{:.3}] us per request",
+        throughput.at_nominal, throughput.raw, cpu.at_nominal, cpu.raw
+    ));
+    let by_chunk = |f: &dyn Fn(&ChunkStats) -> String| -> String {
+        chunks.iter().map(f).collect::<Vec<_>>().join(", ")
+    };
+    report.push(format!(
+        "reference by sub-window (ns): {}",
+        by_chunk(&|c| format!("{:.0}", c.reference_ns))
+    ));
+    report.push(format!(
+        "throughput by sub-window (raw rps): {}",
+        by_chunk(&|c| format!("{:.0}", c.ok as f64 / c.seconds.max(1e-9)))
+    ));
+    report.push(format!(
+        "server CPU by sub-window (raw us per request): {}",
+        by_chunk(&|c| format!("{:.2}", c.server_cpu.total_us() / c.completed.max(1) as f64))
+    ));
+    report.push(format!(
+        "p99 by sub-window (raw ms): {}",
         s.latency_ms
             .iter()
-            .map(|c| Summary::of(c).map_or("-".into(), |x| format!("{:.3}", x.p99)))
+            .map(|c| Summary::of(c).map_or("-".into(), |x| format!("{:.4}", x.p99)))
             .collect::<Vec<_>>()
             .join(", ")
     ));
     report.push(format!(
-        "sub-windows used: {} of {} (host steal at or below the median sub-window's); \
-         steal by sub-window: {}",
-        quiet.len(),
-        pass.stats.chunks.len(),
-        pass.stats
-            .chunks
+        "p50 by sub-window (raw ms): {}",
+        s.latency_ms
             .iter()
-            .map(|c| format!("{:.3}", c.steal_share))
+            .map(|c| Summary::of(c).map_or("-".into(), |x| format!("{:.4}", x.p50)))
             .collect::<Vec<_>>()
             .join(", ")
     ));
     report.push(format!(
-        "throughput by sub-window: {} rps",
-        pass.stats
-            .chunks
-            .iter()
-            .map(|c| format!("{:.0}", c.ok as f64 / c.seconds.max(1e-9)))
-            .collect::<Vec<_>>()
-            .join(", ")
+        "steal by sub-window: {}",
+        by_chunk(&|c| format!("{:.3}", c.steal_share))
     ));
     report.push(format!(
         "driver lateness p50 {:.4} ms, p99 {:.4} ms",
         stats::percentile(&pass.stats.late_ns, 0.5).unwrap_or(0.0) / 1e6,
         stats::percentile(&pass.stats.late_ns, 0.99).unwrap_or(0.0) / 1e6
     ));
-    for (name, summary) in [
+    for (name, latency) in [
         ("strict response-time/0%", strict),
         ("loose response-time/10%", loose),
     ] {
-        if let Some((p50, _, pooled)) = summary {
-            report.push(format!("{name}: p50 {p50:.4} ms ({})", pooled.note()));
+        if let Some(l) = latency {
+            report.push(format!(
+                "{name}: p50 {:.4} [{:.4}] ms ({})",
+                l.p50.at_nominal,
+                l.p50.raw,
+                l.pooled.note()
+            ));
         }
     }
     report.push(format!(
@@ -443,17 +521,28 @@ pub fn untraced(args: &Args) -> io::Result<Outcome> {
         "sent {} (measured {}), failed {} (transport {}), fail_share {fail_share}",
         pass.stats.sent, pass.stats.measured, s.failed, pass.stats.transport_failures
     ));
+    // A closed loop's throughput and latency follow host speed, so they
+    // are reported at the nominal host speed. The open loop's
+    // throughput is its offered rate and its latency is mostly model
+    // sleep, so those are reported raw. CPU per request always follows
+    // host speed.
+    let host_bound = args.workload.pace() == Pace::Closed;
+    let pick = |m: Scaled| if host_bound { m.at_nominal } else { m.raw };
+    report.push(format!(
+        "reported: {} throughput and latency, CPU at the nominal host speed",
+        if host_bound { "scaled" } else { "raw" }
+    ));
     Ok(Outcome {
         metrics: vec![
             ("setup_s", setup_s, "s"),
-            ("throughput_rps", pass.throughput_rps(), "1/s"),
-            ("p50_ms", p50, "ms"),
-            ("p99_ms", p99, "ms"),
-            ("strict_p50_ms", strict.map_or(0.0, |x| x.0), "ms"),
-            ("loose_p50_ms", loose.map_or(0.0, |x| x.0), "ms"),
+            ("throughput_rps", pick(throughput), "1/s"),
+            ("p50_ms", pick(all.p50), "ms"),
+            ("p99_ms", pick(all.p99), "ms"),
+            ("strict_p50_ms", strict.map_or(0.0, |l| pick(l.p50)), "ms"),
+            ("loose_p50_ms", loose.map_or(0.0, |l| pick(l.p50)), "ms"),
             ("usd_per_1k_req", usd_per_1k, "usd"),
             ("served_err", served_err, "share"),
-            ("cpu_us_per_req", pass.cpu_us_per_req(), "us"),
+            ("cpu_us_per_req", cpu.at_nominal, "us"),
             ("peak_rss_mb", peak_rss_mb, "MiB"),
         ],
         attempted: pass.stats.sent + 1,
@@ -809,9 +898,9 @@ pub fn traced(args: &Args, span_file: &Path) -> io::Result<Outcome> {
     let answered = s.measured_ok.max(1) as f64;
     let hits = s.cache_count("hit-exact") + s.cache_count("hit-semantic");
     let consulted = hits + s.cache_count("miss") + s.cache_count("bypass");
-    let server_cpu = plain.server_cpu();
-    let obs_cpu = plain.cpu_us_per_req() - bare_pass.cpu_us_per_req();
-    let trace_cpu = traced_pass.cpu_us_per_req() - plain.cpu_us_per_req();
+    let server_cpu = plain.stats.server_cpu();
+    let obs_cpu = plain.cpu_us_per_req().raw - bare_pass.cpu_us_per_req().raw;
+    let trace_cpu = traced_pass.cpu_us_per_req().raw - plain.cpu_us_per_req().raw;
     let trace_p50_us = (traced_pass.latency().p50 - plain.latency().p50) * 1e3;
 
     let mut report = run_record(args);
@@ -855,10 +944,15 @@ pub fn traced(args: &Args, span_file: &Path) -> io::Result<Outcome> {
             ("driver.late_p99_ms", late_p99_ms, "ms"),
             (
                 "driver.cpu_us_per_req",
-                plain.stats.driver_cpu.total_us() / plain.stats.completed_in_window.max(1) as f64,
+                plain.stats.driver_cpu().total_us() / plain.stats.completed().max(1) as f64,
                 "us",
             ),
             ("host.steal_share", plain.stats.steal_share, "share"),
+            (
+                "host.reference_us",
+                median_or_zero(&plain.stats.readings) / 1e3,
+                "us",
+            ),
             (
                 "fail_share",
                 failed as f64 / attempted.max(1) as f64,

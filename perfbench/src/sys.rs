@@ -128,6 +128,14 @@ impl Cpu {
         self.user_us + self.sys_us
     }
 
+    /// `self + other`, field by field.
+    pub fn plus(self, other: Cpu) -> Cpu {
+        Cpu {
+            user_us: self.user_us + other.user_us,
+            sys_us: self.sys_us + other.sys_us,
+        }
+    }
+
     /// `self - earlier`, field by field.
     pub fn since(self, earlier: Cpu) -> Cpu {
         Cpu {
