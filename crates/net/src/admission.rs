@@ -179,14 +179,48 @@ pub struct TierAdmission {
     pub rejected: u64,
 }
 
-/// One deployed tier's brownout-relevant facts.
-#[derive(Debug, Clone, Copy)]
+/// One tolerance's admission tallies as atomics, so accounting a
+/// decision takes no lock.
+#[derive(Debug, Default)]
+struct TierTallies {
+    admitted: AtomicU64,
+    browned_out: AtomicU64,
+    rejected: AtomicU64,
+}
+
+impl TierTallies {
+    fn count(&self, decision: &AdmissionDecision) {
+        match decision {
+            AdmissionDecision::Admit => &self.admitted,
+            AdmissionDecision::Brownout { .. } => &self.browned_out,
+            AdmissionDecision::Reject { .. } => &self.rejected,
+        }
+        .fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn load(&self) -> TierAdmission {
+        TierAdmission {
+            admitted: self.admitted.load(Ordering::Relaxed),
+            browned_out: self.browned_out.load(Ordering::Relaxed),
+            rejected: self.rejected.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// Every tolerance ever tallied: the deployed tiers' (shared with the
+/// plans table) and any other tolerance requests declared. Keyed by
+/// the tolerance's bits; rendered to tier keys only at scrape.
+type TallyBook = Vec<(Objective, u64, Arc<TierTallies>)>;
+
+/// One deployed tier's brownout-relevant facts, plus its tallies.
+#[derive(Debug, Clone)]
 struct TierPlan {
     tolerance: f64,
     policy: Policy,
     /// Predicted mean relative degradation vs. the baseline, from the
     /// rules' own guarantees.
     predicted_degradation: f64,
+    tallies: Arc<TierTallies>,
 }
 
 /// Brownout candidates for one objective, tolerance-ascending.
@@ -221,7 +255,7 @@ pub struct AdmissionController {
     rejected_total: AtomicU64,
     congestion_events: AtomicU64,
     limit_decreases: AtomicU64,
-    per_tier: Mutex<BTreeMap<String, TierAdmission>>,
+    per_tier: Mutex<TallyBook>,
     plans: RwLock<Vec<ObjectivePlans>>,
 }
 
@@ -255,7 +289,7 @@ impl AdmissionController {
             rejected_total: AtomicU64::new(0),
             congestion_events: AtomicU64::new(0),
             limit_decreases: AtomicU64::new(0),
-            per_tier: Mutex::new(BTreeMap::new()),
+            per_tier: Mutex::new(Vec::new()),
             plans: RwLock::new(Vec::new()),
             config,
         }
@@ -295,6 +329,7 @@ impl AdmissionController {
                         tolerance: g.tolerance,
                         policy: g.policy,
                         predicted_degradation,
+                        tallies: self.tallies(rules.objective(), g.tolerance),
                     }
                 })
                 .collect();
@@ -381,27 +416,57 @@ impl AdmissionController {
         pressure: usize,
     ) -> AdmissionDecision {
         let limit = self.limit();
+        let plans = self.plans.read();
+        let tiers = plans
+            .iter()
+            .find(|p| p.objective == objective)
+            .map_or(&[][..], |p| &p.tiers[..]);
         let decision = if tolerance < self.config.protect_below || pressure < limit {
             AdmissionDecision::Admit
         } else if (pressure as f64) < limit as f64 * self.config.reject_factor {
             self.congested.store(true, Ordering::SeqCst);
-            self.brownout_plan(objective, tolerance)
-                .unwrap_or(AdmissionDecision::Admit)
+            Self::brownout_plan(tiers, tolerance).unwrap_or(AdmissionDecision::Admit)
         } else {
             self.congested.store(true, Ordering::SeqCst);
             AdmissionDecision::Reject {
                 retry_after_secs: self.config.retry_after_secs,
             }
         };
-        self.account(objective, tolerance, &decision);
+        match decision {
+            AdmissionDecision::Admit => &self.admitted_total,
+            AdmissionDecision::Brownout { .. } => &self.brownouts_total,
+            AdmissionDecision::Reject { .. } => &self.rejected_total,
+        }
+        .fetch_add(1, Ordering::SeqCst);
+        // A request declaring a deployed tolerance exactly is tallied
+        // on the tier's own counters; any other tolerance goes through
+        // the book.
+        match tiers
+            .iter()
+            .find(|t| t.tolerance.to_bits() == tolerance.to_bits())
+        {
+            Some(tier) => tier.tallies.count(&decision),
+            None => self.tallies(objective, tolerance).count(&decision),
+        }
         decision
     }
 
-    /// The cheapest qualifying brownout plan, or `None` when even the
-    /// rewrite rung changes nothing.
-    fn brownout_plan(&self, objective: Objective, tolerance: f64) -> Option<AdmissionDecision> {
-        let plans = self.plans.read();
-        let tiers = &plans.iter().find(|p| p.objective == objective)?.tiers;
+    /// The tallies for `(objective, tolerance)`, registered on first
+    /// use.
+    fn tallies(&self, objective: Objective, tolerance: f64) -> Arc<TierTallies> {
+        let mut book = self.per_tier.lock();
+        let bits = tolerance.to_bits();
+        if let Some((_, _, t)) = book.iter().find(|(o, b, _)| *o == objective && *b == bits) {
+            return Arc::clone(t);
+        }
+        let tallies = Arc::new(TierTallies::default());
+        book.push((objective, bits, Arc::clone(&tallies)));
+        tallies
+    }
+
+    /// The cheapest qualifying brownout plan among an objective's
+    /// `tiers`, or `None` when even the rewrite rung changes nothing.
+    fn brownout_plan(tiers: &[TierPlan], tolerance: f64) -> Option<AdmissionDecision> {
         // The tier the request would normally match (downward rule).
         let matched = tiers
             .iter()
@@ -430,26 +495,6 @@ impl AdmissionController {
         })
     }
 
-    fn account(&self, objective: Objective, tolerance: f64, decision: &AdmissionDecision) {
-        let key = tier_key(objective, tolerance);
-        let mut per_tier = self.per_tier.lock();
-        let slot = per_tier.entry(key).or_default();
-        match decision {
-            AdmissionDecision::Admit => {
-                self.admitted_total.fetch_add(1, Ordering::SeqCst);
-                slot.admitted += 1;
-            }
-            AdmissionDecision::Brownout { .. } => {
-                self.brownouts_total.fetch_add(1, Ordering::SeqCst);
-                slot.browned_out += 1;
-            }
-            AdmissionDecision::Reject { .. } => {
-                self.rejected_total.fetch_add(1, Ordering::SeqCst);
-                slot.rejected += 1;
-            }
-        }
-    }
-
     /// Lifetime totals: `(admitted, browned_out, rejected)`.
     pub fn totals(&self) -> (u64, u64, u64) {
         (
@@ -470,13 +515,23 @@ impl AdmissionController {
         self.limit_decreases.load(Ordering::SeqCst)
     }
 
-    /// Per-tier tallies sorted by tier key.
+    /// Per-tier tallies sorted by tier key (tolerances that render to
+    /// the same key are summed).
     pub fn tier_admissions(&self) -> Vec<(String, TierAdmission)> {
-        self.per_tier
-            .lock()
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect()
+        let mut out: BTreeMap<String, TierAdmission> = BTreeMap::new();
+        for (objective, bits, tallies) in self.per_tier.lock().iter() {
+            let t = tallies.load();
+            if t == TierAdmission::default() {
+                continue;
+            }
+            let slot = out
+                .entry(tier_key(*objective, f64::from_bits(*bits)))
+                .or_default();
+            slot.admitted += t.admitted;
+            slot.browned_out += t.browned_out;
+            slot.rejected += t.rejected;
+        }
+        out.into_iter().collect()
     }
 
     /// The `Retry-After` hint for shed responses, seconds.

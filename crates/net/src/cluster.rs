@@ -34,8 +34,8 @@
 use crate::demo::{demo_frontend, demo_matrix};
 use crate::doc::{capacity_object, events_document, fleet_windows_document};
 use crate::http::{
-    format_parent_span, read_response, Limits, Request, Response, PARENT_SPAN_HEADER,
-    RULES_EPOCH_HEADER, TRACE_ID_HEADER,
+    read_response, Limits, Request, Response, PARENT_SPAN_HEADER, RULES_EPOCH_HEADER,
+    TRACE_ID_HEADER,
 };
 use crate::server::{
     error_body, query_param, trace_tree_body, HttpHandler, Reply, RunningServer, Server,
@@ -43,6 +43,7 @@ use crate::server::{
 };
 use crate::service::{ComputeService, ServiceConfig};
 use parking_lot::{Mutex, RwLock};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -200,9 +201,32 @@ struct NodeSlot {
     pool: Mutex<Vec<ProxyConn>>,
 }
 
+/// The names of a fleet's first nodes, so tracing the front tier's
+/// proxy attempts allocates nothing on fleets of realistic size.
+const NODE_NAMES: [&str; 16] = [
+    "node-0", "node-1", "node-2", "node-3", "node-4", "node-5", "node-6", "node-7", "node-8",
+    "node-9", "node-10", "node-11", "node-12", "node-13", "node-14", "node-15",
+];
+
+/// Idle keep-alive connections the front tier keeps per node.
+const POOL_CAP: usize = 8;
+
 impl NodeSlot {
-    fn name(&self) -> String {
-        format!("node-{}", self.id)
+    fn name(&self) -> Cow<'static, str> {
+        match NODE_NAMES.get(self.id) {
+            Some(name) => Cow::Borrowed(name),
+            None => Cow::Owned(format!("node-{}", self.id)),
+        }
+    }
+
+    /// Return a healthy connection to the idle pool, unless the pool is
+    /// full. The check and the push happen under one guard, so
+    /// concurrent proxies cannot grow the pool past [`POOL_CAP`].
+    fn park(&self, conn: ProxyConn) {
+        let mut pool = self.pool.lock();
+        if pool.len() < POOL_CAP {
+            pool.push(conn);
+        }
     }
 
     fn state(&self) -> NodeState {
@@ -397,7 +421,8 @@ impl FrontTier {
             ));
         }
         let epoch = self.epoch();
-        let mut wire = format!("{} {} HTTP/1.1\r\n", request.method, request.target).into_bytes();
+        let mut wire = Vec::with_capacity(256 + request.target.len() + request.body.len());
+        write!(wire, "{} {} HTTP/1.1\r\n", request.method, request.target)?;
         for (name, value) in &request.headers {
             // Only the API's own headers cross the proxy; transport
             // headers are per-hop. Duplicates are preserved so the
@@ -407,28 +432,26 @@ impl FrontTier {
                 || name.eq_ignore_ascii_case("payload")
                 || name.eq_ignore_ascii_case("cache-control")
             {
-                wire.extend_from_slice(format!("{name}: {value}\r\n").as_bytes());
+                write!(wire, "{name}: {value}\r\n")?;
             }
         }
-        wire.extend_from_slice(format!("{RULES_EPOCH_HEADER}: {epoch}\r\n").as_bytes());
-        wire.extend_from_slice(format!("{TRACE_ID_HEADER}: {}\r\n", trace.trace_id).as_bytes());
-        wire.extend_from_slice(
-            format!("{PARENT_SPAN_HEADER}: {}\r\n", format_parent_span(trace)).as_bytes(),
-        );
-        wire.extend_from_slice(
-            format!(
-                "Content-Length: {}\r\nConnection: keep-alive\r\n\r\n",
-                request.body.len()
-            )
-            .as_bytes(),
-        );
+        write!(
+            wire,
+            "{RULES_EPOCH_HEADER}: {epoch}\r\n{TRACE_ID_HEADER}: {}\r\n\
+             {PARENT_SPAN_HEADER}: {}/{}\r\n\
+             Content-Length: {}\r\nConnection: keep-alive\r\n\r\n",
+            trace.trace_id,
+            trace.parent_span.unwrap_or(0),
+            trace.hop,
+            request.body.len()
+        )?;
         wire.extend_from_slice(&request.body);
 
         let addr = *slot.addr.read();
         let pooled = slot.pool.lock().pop();
         if let Some(mut conn) = pooled {
             if let Ok(response) = conn.exchange(&wire, &self.limits) {
-                slot.pool.lock().push(conn);
+                slot.park(conn);
                 return Ok(response);
             }
             // The pooled socket may simply have been reaped by the
@@ -437,9 +460,7 @@ impl FrontTier {
         }
         let mut conn = ProxyConn::open(addr, self.peer_timeout)?;
         let response = conn.exchange(&wire, &self.limits)?;
-        if slot.pool.lock().len() < 8 {
-            slot.pool.lock().push(conn);
-        }
+        slot.park(conn);
         Ok(response)
     }
 
@@ -682,7 +703,7 @@ impl FrontTier {
                 self.slots
                     .iter()
                     .filter(|s| s.state() == wanted)
-                    .map(|s| Json::Str(s.name()))
+                    .map(|s| Json::Str(s.name().into_owned()))
                     .collect(),
             )
         };
@@ -731,7 +752,7 @@ impl FrontTier {
             self.slots
                 .iter()
                 .filter(|s| s.state() == NodeState::Fenced)
-                .map(|s| Json::Str(s.name()))
+                .map(|s| Json::Str(s.name().into_owned()))
                 .collect(),
         );
         let mut totals = JsonObject::new();
@@ -840,7 +861,7 @@ fn relay(slot: &NodeSlot, response: &Response) -> Reply {
             reply = reply.with_header(known, value.to_string());
         }
     }
-    reply.with_header("Served-By", slot.name())
+    reply.with_header("Served-By", slot.name().into_owned())
 }
 
 impl HttpHandler for FrontTier {

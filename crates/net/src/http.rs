@@ -172,11 +172,6 @@ pub const TRACE_ID_HEADER: &str = "X-Trace-Id";
 /// deep the request is.
 pub const PARENT_SPAN_HEADER: &str = "X-Parent-Span";
 
-/// Format an [`tt_obs::TraceContext`]'s `X-Parent-Span` value.
-pub fn format_parent_span(context: &tt_obs::TraceContext) -> String {
-    format!("{}/{}", context.parent_span.unwrap_or(0), context.hop)
-}
-
 /// Parse an optional `Rules-Epoch` header value.
 ///
 /// # Errors
@@ -650,6 +645,10 @@ pub fn write_response(
 /// `Brownout`, ...). Header names and values must already be
 /// wire-safe; this layer does no escaping.
 ///
+/// The status line, headers and body are rendered into one buffer and
+/// handed to `writer` in a single `write_all`, so a reply leaves a
+/// `TCP_NODELAY` socket as one segment rather than a head and a body.
+///
 /// # Errors
 ///
 /// Propagates socket write failures.
@@ -662,22 +661,27 @@ pub fn write_response_with(
     body: &[u8],
     keep_alive: bool,
 ) -> std::io::Result<()> {
-    let mut head = format!("HTTP/1.1 {status} {reason}\r\n");
+    let headers: usize = extra_headers
+        .iter()
+        .map(|(name, value)| name.len() + value.len() + 4)
+        .sum();
+    let mut wire =
+        Vec::with_capacity(96 + reason.len() + content_type.len() + headers + body.len());
+    write!(wire, "HTTP/1.1 {status} {reason}\r\n")?;
     if !body.is_empty() {
-        head.push_str(&format!("Content-Type: {content_type}\r\n"));
+        write!(wire, "Content-Type: {content_type}\r\n")?;
     }
-    head.push_str(&format!("Content-Length: {}\r\n", body.len()));
+    write!(wire, "Content-Length: {}\r\n", body.len())?;
     for (name, value) in extra_headers {
-        head.push_str(&format!("{name}: {value}\r\n"));
+        write!(wire, "{name}: {value}\r\n")?;
     }
-    head.push_str(if keep_alive {
-        "Connection: keep-alive\r\n"
+    wire.extend_from_slice(if keep_alive {
+        b"Connection: keep-alive\r\n\r\n"
     } else {
-        "Connection: close\r\n"
+        b"Connection: close\r\n\r\n"
     });
-    head.push_str("\r\n");
-    writer.write_all(head.as_bytes())?;
-    writer.write_all(body)?;
+    wire.extend_from_slice(body);
+    writer.write_all(&wire)?;
     writer.flush()
 }
 

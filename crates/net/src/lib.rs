@@ -61,7 +61,7 @@ pub use loadgen::{
     LoadReport, SlowRequest, TierLoad,
 };
 pub use metrics::{admission_object, metrics_document, supervisor_object};
-pub use obs::{tier_key, CacheEvent, ObsConfig, Observability, ServedSample};
+pub use obs::{tier_key, CacheEvent, ObsConfig, Observability, ServedSample, TierRef};
 pub use server::{
     socket_config_failures, Engine, RunningServer, Server, ServerConfig, ShutdownHandle,
     PEER_READ_TIMEOUT,

@@ -165,16 +165,17 @@ mod tests {
     #[test]
     fn document_has_the_advertised_shape() {
         let obs = obs();
-        obs.record_served(&crate::obs::ServedSample {
-            objective: Objective::Cost,
-            tolerance: 0.05,
-            sim_latency_us: 9_000,
-            quality_err: 0.1,
-            baseline_err: 0.1,
-            degraded: false,
-            invocations: 1,
-            version: 0,
-        });
+        obs.record_served(
+            &obs.resolve(Objective::Cost, 0.05),
+            &crate::obs::ServedSample {
+                sim_latency_us: 9_000,
+                quality_err: 0.1,
+                baseline_err: 0.1,
+                degraded: false,
+                invocations: 1,
+                version: 0,
+            },
+        );
         obs.sentinel().force_tick(1_000_000);
         let body = metrics_document(&obs, 1_234).render();
         assert!(body.contains("\"service\": \"toltiers\""));
@@ -208,16 +209,17 @@ mod tests {
         let run = || {
             let obs = obs();
             for i in 0..50 {
-                obs.record_served(&crate::obs::ServedSample {
-                    objective: Objective::ResponseTime,
-                    tolerance: 0.01,
-                    sim_latency_us: 2_000 + i * 13,
-                    quality_err: 0.02,
-                    baseline_err: 0.02,
-                    degraded: i % 7 == 0,
-                    invocations: 1 + (i % 2),
-                    version: (i % 3) as usize,
-                });
+                obs.record_served(
+                    &obs.resolve(Objective::ResponseTime, 0.01),
+                    &crate::obs::ServedSample {
+                        sim_latency_us: 2_000 + i * 13,
+                        quality_err: 0.02,
+                        baseline_err: 0.02,
+                        degraded: i % 7 == 0,
+                        invocations: 1 + (i % 2),
+                        version: (i % 3) as usize,
+                    },
+                );
             }
             extract(&metrics_document(&obs, 999).render())
         };

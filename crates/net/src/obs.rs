@@ -12,6 +12,12 @@
 //! ("this tier degrades accuracy at most ε versus the premium tier")
 //! made observable at runtime.
 //!
+//! The same rules are compiled into a deployed-tier table, rebuilt on
+//! every [`Observability::rebind`]: each request resolves its tier in
+//! it once ([`Observability::resolve`]) and records through the
+//! returned [`TierRef`], so the hot path neither formats tier keys nor
+//! takes a lock per record.
+//!
 //! Everything the hot path records is integer-accumulated (fixed-point
 //! quality errors, histogram bucket counts), so a fixed request set
 //! produces bit-identical `/metrics` totals regardless of thread
@@ -20,14 +26,14 @@
 use parking_lot::RwLock;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use tt_core::objective::Objective;
 use tt_core::profile::ProfileMatrix;
 use tt_core::rulegen::RoutingRules;
 use tt_obs::{
     AdmissionOutcome, BucketScheme, Counter, EventLog, HistogramHandle, MetricsRegistry,
-    SloSentinel, SloTarget, TierTelemetry, Tracer, WindowStore,
+    SloSentinel, SloTarget, TierTelemetry, Tracer, WindowStore, WindowTier,
 };
 use tt_serve::frontend::TieredFrontend;
 
@@ -97,10 +103,6 @@ impl ObsConfig {
 /// one served request.
 #[derive(Debug, Clone, Copy)]
 pub struct ServedSample {
-    /// The request's objective annotation.
-    pub objective: Objective,
-    /// The request's tolerance annotation.
-    pub tolerance: f64,
     /// Simulated (accounted) latency of the serving policy.
     pub sim_latency_us: u64,
     /// Quality error of the version that answered.
@@ -139,40 +141,96 @@ pub enum CacheEvent {
     Bypass,
 }
 
-/// One objective's deployed tiers: ascending tolerances with their
-/// telemetry sinks, plus the baseline (premium) version index.
-#[derive(Clone)]
-struct ObjectiveTiers {
+/// One deployed tier's pre-resolved recording sinks: its key rendered
+/// once, its SLO telemetry, its telemetry-window counters, and its
+/// per-tier cache counters (registered on first use, so a deployment
+/// without a cache keeps no cache series).
+#[derive(Debug)]
+struct DeployedTier {
     objective: Objective,
-    /// `(tolerance, telemetry)` ascending by tolerance.
-    slots: Vec<(f64, Arc<TierTelemetry>)>,
+    tolerance: f64,
+    key: String,
     baseline_version: usize,
+    telemetry: Arc<TierTelemetry>,
+    window: Arc<WindowTier>,
+    cache_counters: [OnceLock<Arc<Counter>>; 3],
 }
 
-/// Build sentinel targets and tier wiring for a deployment, reusing
-/// telemetry sinks from `reuse` (matched by objective + tolerance) so
-/// a rebind keeps lifetime series continuous.
+/// A request's tier, resolved once against the deployed-tier table:
+/// every per-request record (arrival, admission, cache, served) goes
+/// through it without formatting a key or taking the table's lock
+/// again.
+#[derive(Debug, Clone)]
+pub struct TierRef {
+    objective: Objective,
+    /// The tolerance the request asked for.
+    tolerance: f64,
+    /// The deployed tier serving it (downward-compatibility rule);
+    /// `None` when no tier of the objective is that loose or strict.
+    deployed: Option<Arc<DeployedTier>>,
+}
+
+impl TierRef {
+    /// The baseline (premium) version of the deployed tier's
+    /// objective, when a deployed tier serves the request.
+    pub fn baseline_version(&self) -> Option<usize> {
+        self.deployed.as_ref().map(|t| t.baseline_version)
+    }
+}
+
+/// One objective's deployed tiers, ascending by tolerance.
+struct ObjectiveTiers {
+    objective: Objective,
+    slots: Vec<Arc<DeployedTier>>,
+}
+
+/// The deployed-tier table: built when rules are installed, read once
+/// per request.
+#[derive(Default)]
+struct TierTable {
+    objectives: Vec<ObjectiveTiers>,
+}
+
+impl TierTable {
+    /// The largest deployed tolerance not exceeding the request's.
+    fn resolve(&self, objective: Objective, tolerance: f64) -> Option<&Arc<DeployedTier>> {
+        let tiers = self.objectives.iter().find(|t| t.objective == objective)?;
+        tiers
+            .slots
+            .iter()
+            .take_while(|t| t.tolerance <= tolerance + 1e-12)
+            .last()
+    }
+
+    fn tiers(&self) -> impl Iterator<Item = &Arc<DeployedTier>> {
+        self.objectives.iter().flat_map(|o| o.slots.iter())
+    }
+}
+
+/// Build sentinel targets and the deployed-tier table for a
+/// deployment, reusing telemetry sinks from `reuse` (matched by
+/// objective + tolerance) so a rebind keeps lifetime series
+/// continuous. Window counters are shared by key inside the store.
 fn build_tiers(
     matrix: &ProfileMatrix,
     frontend: &TieredFrontend,
     config: &ObsConfig,
-    reuse: &[ObjectiveTiers],
-) -> (Vec<(SloTarget, Arc<TierTelemetry>)>, Vec<ObjectiveTiers>) {
+    windows: &WindowStore,
+    reuse: &TierTable,
+) -> (Vec<(SloTarget, Arc<TierTelemetry>)>, TierTable) {
     let recycled = |objective: Objective, tolerance: f64| -> Option<Arc<TierTelemetry>> {
-        let tiers = reuse.iter().find(|t| t.objective == objective)?;
-        tiers
-            .slots
-            .iter()
-            .find(|(tol, _)| (tol - tolerance).abs() < 1e-12)
-            .map(|(_, tel)| Arc::clone(tel))
+        reuse
+            .tiers()
+            .find(|t| t.objective == objective && (t.tolerance - tolerance).abs() < 1e-12)
+            .map(|t| Arc::clone(&t.telemetry))
     };
     let mut targets = Vec::new();
-    let mut tiers = Vec::new();
+    let mut table = TierTable::default();
     // The frontend stores rules per objective in a hash map;
     // sort so sentinel registration (and thus verdict order on
     // `/metrics`) is identical across runs.
     let mut rule_sets: Vec<&RoutingRules> = frontend.rules().collect();
-    rule_sets.sort_by_key(|r| r.objective().to_string());
+    rule_sets.sort_by_key(|r| r.objective().name());
     for rules in rule_sets {
         let guarantees = rules
             .guarantees(matrix, config.latency_quantile)
@@ -183,9 +241,10 @@ fn build_tiers(
                 .unwrap_or_else(|| Arc::new(TierTelemetry::new(BucketScheme::DEFAULT)));
             let max_latency_us =
                 (g.predicted_latency_us as f64 * config.latency_headroom.max(1.0)).ceil() as u64;
+            let key = tier_key(g.objective, g.tolerance);
             targets.push((
                 SloTarget {
-                    key: tier_key(g.objective, g.tolerance),
+                    key: key.clone(),
                     max_degradation: g.tolerance,
                     latency_quantile: g.latency_quantile,
                     max_latency_us,
@@ -193,16 +252,27 @@ fn build_tiers(
                 },
                 Arc::clone(&telemetry),
             ));
-            slots.push((g.tolerance, telemetry));
+            slots.push(Arc::new(DeployedTier {
+                objective: rules.objective(),
+                tolerance: g.tolerance,
+                window: windows.tier(&key),
+                key,
+                baseline_version: rules.baseline_version(),
+                telemetry,
+                cache_counters: Default::default(),
+            }));
         }
-        slots.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite tolerances"));
-        tiers.push(ObjectiveTiers {
+        slots.sort_by(|a, b| {
+            a.tolerance
+                .partial_cmp(&b.tolerance)
+                .expect("finite tolerances")
+        });
+        table.objectives.push(ObjectiveTiers {
             objective: rules.objective(),
             slots,
-            baseline_version: rules.baseline_version(),
         });
     }
-    (targets, tiers)
+    (targets, table)
 }
 
 /// The service's live observability: registry, tracer, sentinel, and
@@ -218,7 +288,7 @@ pub struct Observability {
     windows: WindowStore,
     events: EventLog,
     sentinel: RwLock<Arc<SloSentinel>>,
-    tiers: RwLock<Vec<ObjectiveTiers>>,
+    tiers: RwLock<Arc<TierTable>>,
     /// Windows evaluated by sentinels retired in earlier rebinds.
     windows_carried: AtomicU64,
     config: ObsConfig,
@@ -263,7 +333,12 @@ impl Observability {
                 .unwrap_or_else(|_| Tracer::new(config.trace_capacity)),
             None => Tracer::new(config.trace_capacity),
         };
-        let (targets, tiers) = build_tiers(matrix, frontend, config, &[]);
+        let windows = WindowStore::new(
+            config.telemetry_window.as_micros().max(1) as u64,
+            config.window_capacity.max(1),
+        );
+        let (targets, tiers) =
+            build_tiers(matrix, frontend, config, &windows, &TierTable::default());
         let sentinel = SloSentinel::new(config.slo_window.as_micros().max(1) as u64, targets);
         Observability {
             requests_total: registry.counter("requests_total"),
@@ -278,13 +353,10 @@ impl Observability {
             cache_hit_latency: registry.histogram("cache_hit_latency_us"),
             registry,
             tracer,
-            windows: WindowStore::new(
-                config.telemetry_window.as_micros().max(1) as u64,
-                config.window_capacity.max(1),
-            ),
+            windows,
             events: EventLog::new(config.event_capacity.max(1)),
             sentinel: RwLock::new(Arc::new(sentinel)),
-            tiers: RwLock::new(tiers),
+            tiers: RwLock::new(Arc::new(tiers)),
             windows_carried: AtomicU64::new(0),
             config: config.clone(),
             started,
@@ -298,8 +370,9 @@ impl Observability {
     /// sentinel rebased to the present instant so its first window
     /// judges only post-swap traffic.
     pub fn rebind(&self, matrix: &ProfileMatrix, frontend: &TieredFrontend) {
-        let old_tiers = self.tiers.read().clone();
-        let (targets, tiers) = build_tiers(matrix, frontend, &self.config, &old_tiers);
+        let old_tiers = Arc::clone(&self.tiers.read());
+        let (targets, tiers) =
+            build_tiers(matrix, frontend, &self.config, &self.windows, &old_tiers);
         let sentinel = SloSentinel::new(self.config.slo_window.as_micros().max(1) as u64, targets);
         sentinel.rebase(self.now_us());
         let carried = self.sentinel.read().windows_evaluated();
@@ -307,7 +380,7 @@ impl Observability {
         // Publish tiers first, then the sentinel: a racing reader sees
         // a coherent (new tiers, old sentinel) or (new, new) pairing,
         // never a sentinel watching tiers that no longer exist.
-        *self.tiers.write() = tiers;
+        *self.tiers.write() = Arc::new(tiers);
         *self.sentinel.write() = Arc::new(sentinel);
     }
 
@@ -367,50 +440,54 @@ impl Observability {
         sentinel.tick(now)
     }
 
+    /// Resolve a request's tier against the deployed-tier table: the
+    /// *largest* deployed tolerance not exceeding the request's (the
+    /// routing tables' downward-compatibility rule). One table read
+    /// per request; every record for the request goes through the
+    /// returned handle.
+    pub fn resolve(&self, objective: Objective, tolerance: f64) -> TierRef {
+        TierRef {
+            objective,
+            tolerance,
+            deployed: self.tiers.read().resolve(objective, tolerance).cloned(),
+        }
+    }
+
     /// The baseline (premium) version for an objective's tiers.
     pub fn baseline_version(&self, objective: Objective) -> Option<usize> {
         self.tiers
             .read()
-            .iter()
+            .tiers()
             .find(|t| t.objective == objective)
             .map(|t| t.baseline_version)
     }
 
-    /// The telemetry sink serving a consumer-requested tolerance: the
-    /// *largest* deployed tolerance not exceeding the request's (the
-    /// routing tables' downward-compatibility rule).
+    /// The telemetry sink serving a consumer-requested tolerance (see
+    /// [`Observability::resolve`]).
     pub fn telemetry(&self, objective: Objective, tolerance: f64) -> Option<Arc<TierTelemetry>> {
-        let tiers = self.tiers.read();
-        let tiers = tiers.iter().find(|t| t.objective == objective)?;
-        let mut hit = None;
-        for (tol, telemetry) in &tiers.slots {
-            if *tol <= tolerance + 1e-12 {
-                hit = Some(telemetry);
-            } else {
-                break;
-            }
-        }
-        hit.map(Arc::clone)
+        self.resolve(objective, tolerance)
+            .deployed
+            .map(|t| Arc::clone(&t.telemetry))
     }
 
     /// Per-tier lifetime telemetry as `(key, telemetry)` pairs sorted
     /// by key — the deterministic iteration `/metrics` renders from.
     pub fn tier_telemetry(&self) -> Vec<(String, Arc<TierTelemetry>)> {
-        let mut out = Vec::new();
-        for tiers in self.tiers.read().iter() {
-            for (tol, telemetry) in &tiers.slots {
-                out.push((tier_key(tiers.objective, *tol), Arc::clone(telemetry)));
-            }
-        }
+        let mut out: Vec<(String, Arc<TierTelemetry>)> = self
+            .tiers
+            .read()
+            .tiers()
+            .map(|t| (t.key.clone(), Arc::clone(&t.telemetry)))
+            .collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
     }
 
     /// Record one served request into the registry, its tier's
-    /// telemetry, and the open telemetry window's per-version
-    /// service-time histogram. All hot-path registry operations are
-    /// atomics; the window record is one short uncontended lock.
-    pub fn record_served(&self, sample: &ServedSample) {
+    /// telemetry, and the telemetry window's per-version service-time
+    /// histogram. `tier` is the tier billed. Every operation is an
+    /// atomic add.
+    pub fn record_served(&self, tier: &TierRef, sample: &ServedSample) {
         self.requests_total.inc();
         if sample.degraded {
             self.requests_degraded.inc();
@@ -419,8 +496,8 @@ impl Observability {
         self.sim_latency.record(sample.sim_latency_us);
         self.windows
             .record_service(sample.version, sample.sim_latency_us);
-        if let Some(telemetry) = self.telemetry(sample.objective, sample.tolerance) {
-            telemetry.record(
+        if let Some(deployed) = &tier.deployed {
+            deployed.telemetry.record(
                 sample.sim_latency_us,
                 sample.quality_err,
                 sample.baseline_err,
@@ -431,43 +508,33 @@ impl Observability {
 
     /// Record one request no version could answer: global counters
     /// plus a shed count on the tier's open telemetry window.
-    pub fn record_dropped(&self, objective: Objective, tolerance: f64) {
+    pub fn record_dropped(&self, tier: &TierRef) {
         self.requests_total.inc();
         self.requests_dropped.inc();
-        self.windows.record_admission(
-            &self.window_tier(objective, tolerance),
-            AdmissionOutcome::Shed,
-        );
+        self.with_window(tier, |w| w.record_admission(AdmissionOutcome::Shed));
     }
 
     /// Record one request arriving for a tier (pre-admission) into the
     /// open telemetry window — the planner's per-tier arrival rate.
-    pub fn record_arrival(&self, objective: Objective, tolerance: f64) {
-        self.windows
-            .record_arrival(&self.window_tier(objective, tolerance));
+    pub fn record_arrival(&self, tier: &TierRef) {
+        self.with_window(tier, WindowTier::record_arrival);
     }
 
     /// Record the admission controller's decision for one request into
     /// the open telemetry window.
-    pub fn record_admission(
-        &self,
-        objective: Objective,
-        tolerance: f64,
-        outcome: AdmissionOutcome,
-    ) {
-        self.windows
-            .record_admission(&self.window_tier(objective, tolerance), outcome);
+    pub fn record_admission(&self, tier: &TierRef, outcome: AdmissionOutcome) {
+        self.with_window(tier, |w| w.record_admission(outcome));
     }
 
-    /// The telemetry-window tier key for a requested tolerance: the
-    /// *deployed* tier's key (downward-compatibility rule, same as
-    /// telemetry), falling back to the raw request key when no tier
-    /// matches.
-    fn window_tier(&self, objective: Objective, tolerance: f64) -> String {
-        let tier = self
-            .deployed_tier(objective, tolerance)
-            .unwrap_or(tolerance);
-        tier_key(objective, tier)
+    /// The telemetry-window counters for a request: the *deployed*
+    /// tier's (downward-compatibility rule, same as telemetry), falling
+    /// back to the raw request key — resolved through the store — when
+    /// no tier matches.
+    fn with_window(&self, tier: &TierRef, record: impl FnOnce(&WindowTier)) {
+        match &tier.deployed {
+            Some(deployed) => record(&deployed.window),
+            None => record(&self.windows.tier(&tier_key(tier.objective, tier.tolerance))),
+        }
     }
 
     /// Record one cache disposition: the global counters, the hit-path
@@ -476,66 +543,38 @@ impl Observability {
     /// per-tier counter named `cache_{hit,miss,bypass}:{tier_key}`
     /// under the request's *deployed* tier (downward-compatibility
     /// rule, same as telemetry). Per-tier series resolve through the
-    /// bounded registry, so tier cardinality can degrade fidelity but
-    /// never memory.
-    pub fn record_cache(&self, objective: Objective, tolerance: f64, event: CacheEvent) {
-        let kind = match event {
-            CacheEvent::HitExact => {
+    /// bounded registry on a tier's first event, so tier cardinality
+    /// can degrade fidelity but never memory.
+    pub fn record_cache(&self, tier: &TierRef, event: CacheEvent) {
+        let (kind, slot) = match event {
+            CacheEvent::HitExact | CacheEvent::HitSemantic => {
                 self.cache_hit.inc();
+                if event == CacheEvent::HitSemantic {
+                    self.cache_hit_semantic.inc();
+                }
                 self.cache_hit_latency
                     .record(crate::service::CACHE_HIT_SIM_LATENCY_US);
-                "cache_hit"
-            }
-            CacheEvent::HitSemantic => {
-                self.cache_hit.inc();
-                self.cache_hit_semantic.inc();
-                self.cache_hit_latency
-                    .record(crate::service::CACHE_HIT_SIM_LATENCY_US);
-                "cache_hit"
+                ("cache_hit", 0)
             }
             CacheEvent::Miss => {
                 self.cache_miss.inc();
-                "cache_miss"
+                ("cache_miss", 1)
             }
             CacheEvent::Bypass => {
                 self.cache_bypass.inc();
-                "cache_bypass"
+                ("cache_bypass", 2)
             }
         };
         // Hits and misses (actual cache consults) also land on the
         // tier's open telemetry window; bypasses don't consult.
-        match event {
-            CacheEvent::HitExact | CacheEvent::HitSemantic => {
-                self.windows
-                    .record_cache(&self.window_tier(objective, tolerance), true);
-            }
-            CacheEvent::Miss => {
-                self.windows
-                    .record_cache(&self.window_tier(objective, tolerance), false);
-            }
-            CacheEvent::Bypass => {}
+        if event != CacheEvent::Bypass {
+            self.with_window(tier, |w| w.record_cache(event != CacheEvent::Miss));
         }
-        if let Some(tier) = self.deployed_tier(objective, tolerance) {
-            self.registry
-                .counter(&format!("{kind}:{}", tier_key(objective, tier)))
+        if let Some(deployed) = &tier.deployed {
+            deployed.cache_counters[slot]
+                .get_or_init(|| self.registry.counter(&format!("{kind}:{}", deployed.key)))
                 .inc();
         }
-    }
-
-    /// The deployed tier tolerance serving a requested one: the
-    /// largest advertised tolerance not exceeding the request's.
-    fn deployed_tier(&self, objective: Objective, tolerance: f64) -> Option<f64> {
-        let tiers = self.tiers.read();
-        let tiers = tiers.iter().find(|t| t.objective == objective)?;
-        let mut hit = None;
-        for (tol, _) in &tiers.slots {
-            if *tol <= tolerance + 1e-12 {
-                hit = Some(*tol);
-            } else {
-                break;
-            }
-        }
-        hit
     }
 }
 
@@ -588,17 +627,19 @@ mod tests {
     #[test]
     fn record_served_feeds_registry_and_tier() {
         let obs = obs();
-        obs.record_served(&ServedSample {
-            objective: Objective::Cost,
-            tolerance: 0.05,
-            sim_latency_us: 9_000,
-            quality_err: 0.2,
-            baseline_err: 0.1,
-            degraded: true,
-            invocations: 2,
-            version: 1,
-        });
-        obs.record_dropped(Objective::Cost, 0.05);
+        let tier = obs.resolve(Objective::Cost, 0.05);
+        obs.record_served(
+            &tier,
+            &ServedSample {
+                sim_latency_us: 9_000,
+                quality_err: 0.2,
+                baseline_err: 0.1,
+                degraded: true,
+                invocations: 2,
+                version: 1,
+            },
+        );
+        obs.record_dropped(&tier);
         let snap = obs.registry().snapshot();
         assert_eq!(snap.counters["requests_total"], 2);
         assert_eq!(snap.counters["requests_degraded"], 1);

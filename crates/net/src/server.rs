@@ -32,7 +32,7 @@ use crate::http::{
     TRACE_ID_HEADER,
 };
 use crate::metrics::{admission_object, metrics_document, supervisor_object};
-use crate::obs::CacheEvent;
+use crate::obs::{CacheEvent, TierRef};
 use crate::service::{CacheAdmitTicket, CacheServed, ComputeOutcome, ComputeService, ServiceError};
 use crate::stats::stats_document;
 use parking_lot::Mutex;
@@ -535,11 +535,15 @@ impl HttpHandler for ComputeService {
 /// time (slow loris) cannot hold a worker past
 /// [`ServerConfig::request_deadline`]. The deadline is re-armed after
 /// every completed request, so long-lived keep-alive connections are
-/// bounded per request, not per connection.
+/// bounded per request, not per connection. The timeout is re-armed
+/// only when the clamp differs from the value last set, which on a
+/// keep-alive connection far from its deadline is never.
 struct DeadlineStream {
     inner: TcpStream,
     deadline: Instant,
     keep_alive: Duration,
+    /// The read timeout last set on the socket.
+    armed: Option<Duration>,
 }
 
 impl Read for DeadlineStream {
@@ -551,9 +555,14 @@ impl Read for DeadlineStream {
                 "request deadline exceeded",
             ));
         }
-        let _ = self
-            .inner
-            .set_read_timeout(Some(remaining.min(self.keep_alive)));
+        let timeout = remaining.min(self.keep_alive);
+        if self.armed != Some(timeout) {
+            self.armed = self
+                .inner
+                .set_read_timeout(Some(timeout))
+                .ok()
+                .map(|()| timeout);
+        }
         self.inner.read(buf)
     }
 }
@@ -577,6 +586,7 @@ fn handle_connection<H: HttpHandler>(
             inner: clone,
             deadline: Instant::now() + request_deadline,
             keep_alive: keep_alive_timeout,
+            armed: None,
         }),
         Err(_) => return,
     };
@@ -950,6 +960,9 @@ enum Prepared {
     Execute {
         service_request: ServiceRequest,
         brownout: Option<(Policy, f64, BrownoutLevel)>,
+        /// The request's tier, resolved once (`None` with observability
+        /// off).
+        tier: Option<TierRef>,
     },
 }
 
@@ -992,6 +1005,7 @@ fn cache_front(
     service_request: &ServiceRequest,
     brownout_shaped: bool,
     handle: Option<&TraceHandle>,
+    tier: Option<&TierRef>,
 ) -> CacheDisposition {
     if service.cache().is_none() {
         return CacheDisposition::Execute {
@@ -1000,14 +1014,14 @@ fn cache_front(
         };
     }
     if brownout_shaped || client_no_cache(request) {
-        service.note_cache_event(service_request, CacheEvent::Bypass);
+        service.note_cache_event(tier, CacheEvent::Bypass);
         return CacheDisposition::Execute {
             ticket: None,
             tag: Some("bypass"),
         };
     }
     let fingerprint = fnv1a(&request.body);
-    match service.cache_serve(service_request, fingerprint, handle) {
+    match service.cache_serve_at(service_request, fingerprint, handle, tier) {
         CacheServed::Hit { outcome, exact } => CacheDisposition::Hit { outcome, exact },
         CacheServed::Miss => CacheDisposition::Execute {
             ticket: service.cache_ticket(service_request, fingerprint),
@@ -1056,6 +1070,7 @@ fn compute(service: &ComputeService, request: &Request) -> Reply {
         Prepared::Execute {
             service_request,
             brownout,
+            tier,
         } => {
             let _in_flight = service.admission().begin();
             match cache_front(
@@ -1064,6 +1079,7 @@ fn compute(service: &ComputeService, request: &Request) -> Reply {
                 &service_request,
                 brownout.is_some(),
                 handle.as_ref(),
+                tier.as_ref(),
             ) {
                 CacheDisposition::Hit { outcome, exact } => tag_cache_hit(
                     render_outcome(
@@ -1076,7 +1092,7 @@ fn compute(service: &ComputeService, request: &Request) -> Reply {
                 ),
                 CacheDisposition::Execute { ticket, tag } => {
                     let result =
-                        service.execute_shaped(&service_request, brownout, handle.as_ref());
+                        service.execute_at(&service_request, brownout, handle.as_ref(), tier);
                     if let (Some(ticket), Ok(outcome)) = (&ticket, &result) {
                         ticket.admit(outcome);
                     }
@@ -1136,6 +1152,7 @@ fn compute_async(service: &ComputeService, request: &Request, done: ReplySink) {
         Prepared::Execute {
             service_request,
             brownout,
+            tier,
         } => {
             let in_flight = service.admission().begin();
             match cache_front(
@@ -1144,6 +1161,7 @@ fn compute_async(service: &ComputeService, request: &Request, done: ReplySink) {
                 &service_request,
                 brownout.is_some(),
                 handle.as_ref(),
+                tier.as_ref(),
             ) {
                 // A hit already settled: answer on the calling thread,
                 // never touching the batcher or a worker pool.
@@ -1171,6 +1189,7 @@ fn compute_async(service: &ComputeService, request: &Request, done: ReplySink) {
                         &executed,
                         brownout,
                         handle.as_ref(),
+                        tier,
                         Box::new(move |result| {
                             let _in_flight = in_flight;
                             if let (Some(ticket), Ok(outcome)) = (&ticket, &result) {
@@ -1223,7 +1242,7 @@ fn prepare_compute(
     let close_parse = |error: Option<&str>| {
         if let (Some(h), Some(id)) = (handle, parse_span) {
             if let Some(why) = error {
-                h.attr_str(id, "error", why);
+                h.attr_str(id, "error", why.to_owned());
             }
             h.close(id, service.wall_us());
         }
@@ -1236,10 +1255,14 @@ fn prepare_compute(
             return Prepared::Reply(Reply::json(400, "Bad Request", error_body(&why)));
         }
     };
-    // The tier is known: this request is an arrival on the open
-    // telemetry window (pre-admission — the planner's arrival rate).
-    if let Some(o) = service.observability() {
-        o.record_arrival(objective, tolerance.value());
+    // The tier is known: resolve it once against the deployed-tier
+    // table, and count an arrival on the open telemetry window
+    // (pre-admission — the planner's arrival rate).
+    let tier = service
+        .observability()
+        .map(|o| (o, o.resolve(objective, tolerance.value())));
+    if let Some((o, tier)) = &tier {
+        o.record_arrival(tier);
     }
     let payload = match payload_for(request, service.matrix().requests()) {
         Ok(p) => p,
@@ -1271,8 +1294,8 @@ fn prepare_compute(
         AdmissionDecision::Brownout { .. } => AdmissionOutcome::BrownedOut,
         _ => AdmissionOutcome::Admitted,
     };
-    if let Some(o) = service.observability() {
-        o.record_admission(objective, tolerance.value(), outcome);
+    if let Some((o, tier)) = &tier {
+        o.record_admission(tier, outcome);
     }
     if let AdmissionDecision::Reject { retry_after_secs } = decision {
         let mut body = JsonObject::new().with_str("error", "overloaded, retry later");
@@ -1295,6 +1318,7 @@ fn prepare_compute(
     Prepared::Execute {
         service_request,
         brownout,
+        tier: tier.map(|(_, tier)| tier),
     }
 }
 
@@ -1537,16 +1561,17 @@ mod tests {
         // Inject a window of traffic violating the 5% cost tier, then
         // close the window.
         for _ in 0..30 {
-            obs.record_served(&crate::obs::ServedSample {
-                objective: tt_core::objective::Objective::Cost,
-                tolerance: 0.05,
-                sim_latency_us: 5_000,
-                quality_err: 0.5,
-                baseline_err: 0.1,
-                degraded: false,
-                invocations: 1,
-                version: 0,
-            });
+            obs.record_served(
+                &obs.resolve(tt_core::objective::Objective::Cost, 0.05),
+                &crate::obs::ServedSample {
+                    sim_latency_us: 5_000,
+                    quality_err: 0.5,
+                    baseline_err: 0.1,
+                    degraded: false,
+                    invocations: 1,
+                    version: 0,
+                },
+            );
         }
         obs.sentinel().force_tick(obs.now_us());
         let reply = route(&service, &off, &req("GET", "/healthz", &[], b""));

@@ -18,7 +18,7 @@
 
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionDecision, BrownoutLevel};
 use crate::batch::{BatchConfig, BatchItem, Batcher};
-use crate::obs::{CacheEvent, ObsConfig, Observability};
+use crate::obs::{CacheEvent, ObsConfig, Observability, TierRef};
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -378,8 +378,9 @@ struct Ledgered {
     trace: TraceRecorder,
     ledger: CostLedger,
     /// Tier economics accumulated per request, so billing stays exact
-    /// even when the event trace is bounded and evicting.
-    tiers: BTreeMap<(String, u32), TierEconomics>,
+    /// even when the event trace is bounded and evicting. Keyed by the
+    /// objective's static name, so settling allocates nothing.
+    tiers: BTreeMap<(&'static str, u32), TierEconomics>,
 }
 
 /// The outcome of executing one policy on the worker pool.
@@ -414,12 +415,16 @@ struct SettleCtx {
     payload: usize,
     arrival: SimTime,
     stage: StageOutcome,
+    /// The billed tier, resolved against the deployed-tier table
+    /// (`None` when observability is off).
+    tier: Option<TierRef>,
 }
 
-/// The settlement half of the service, detached from `&self`: billing,
-/// tier economics, telemetry, and the serve counter behind cheap `Arc`
-/// clones. Both the synchronous path ([`ComputeService::execute_shaped`])
-/// and the batched path settle through [`Accounts::settle`], so the two
+/// The settlement half of the service: billing, tier economics,
+/// telemetry, and the serve counter. The service holds it behind one
+/// `Arc`: the synchronous path ([`ComputeService::execute_shaped`])
+/// settles through a reference, the batched path moves a clone of the
+/// `Arc` to the executor, and both run [`Accounts::settle`], so the two
 /// cannot drift — bit-identical per-tier billing is structural, not
 /// coincidental.
 struct Accounts {
@@ -451,6 +456,7 @@ impl Accounts {
             payload,
             arrival,
             stage,
+            tier,
         } = ctx;
         let obs = self.matrix.get(payload, stage.answered_by);
         let quality_err = obs.quality_err;
@@ -492,10 +498,7 @@ impl Accounts {
                 answered_by: stage.answered_by,
                 quality_err,
             });
-            let key = (
-                objective.to_string(),
-                (billed_tolerance * 1000.0).round() as u32,
-            );
+            let key = (objective.name(), (billed_tolerance * 1000.0).round() as u32);
             let slot = state.tiers.entry(key).or_insert(TierEconomics {
                 requests: 0,
                 revenue: Money::ZERO,
@@ -506,21 +509,24 @@ impl Accounts {
         if let Some((handle, id)) = bill_span {
             handle.close(id, self.wall_us());
         }
-        if let Some(live) = &self.obs {
-            let baseline_err = live
-                .baseline_version(objective)
-                .map(|v| self.matrix.get(payload, v).quality_err)
-                .unwrap_or(quality_err);
-            live.record_served(&crate::obs::ServedSample {
-                objective,
-                tolerance: billed_tolerance,
-                sim_latency_us: stage.sim_latency_us,
-                quality_err,
-                baseline_err,
-                degraded: stage.degraded,
-                invocations: stage.invocations,
-                version: stage.answered_by,
-            });
+        if let (Some(live), Some(tier)) = (&self.obs, &tier) {
+            let baseline_err = match tier.baseline_version() {
+                Some(baseline) => self.matrix.get(payload, baseline).quality_err,
+                None => live
+                    .baseline_version(objective)
+                    .map_or(quality_err, |v| self.matrix.get(payload, v).quality_err),
+            };
+            live.record_served(
+                tier,
+                &crate::obs::ServedSample {
+                    sim_latency_us: stage.sim_latency_us,
+                    quality_err,
+                    baseline_err,
+                    degraded: stage.degraded,
+                    invocations: stage.invocations,
+                    version: stage.answered_by,
+                },
+            );
         }
         self.served.fetch_add(1, Ordering::SeqCst);
         if let Some((handle, id)) = span {
@@ -629,6 +635,8 @@ pub struct ComputeService {
     stats: Arc<Mutex<ResilienceStats>>,
     state: Arc<Mutex<Ledgered>>,
     obs: Option<Arc<Observability>>,
+    /// Settlement, sharing `stats`, `state`, `obs` and `served`.
+    accounts: Arc<Accounts>,
     admission: Arc<AdmissionController>,
     health: Arc<VersionHealth>,
     supervisor: Option<Mutex<SupervisorRuntime>>,
@@ -650,7 +658,6 @@ pub struct ComputeService {
     started: Instant,
     /// Versions by ascending mean profiled latency ("cheaper" first).
     version_order: Vec<usize>,
-    instance: InstanceType,
     /// The request-coalescing queue, when `config.batch.enabled`.
     batcher: Option<Batcher>,
 }
@@ -746,6 +753,22 @@ impl ComputeService {
                     log: Vec::new(),
                 })
             });
+        let stats = Arc::new(Mutex::new(ResilienceStats::default()));
+        let state = Arc::new(Mutex::new(Ledgered {
+            trace,
+            ..Ledgered::default()
+        }));
+        let served = Arc::new(AtomicUsize::new(0));
+        let accounts = Arc::new(Accounts {
+            matrix: Arc::clone(&matrix),
+            stats: Arc::clone(&stats),
+            state: Arc::clone(&state),
+            obs: obs.clone(),
+            served: Arc::clone(&served),
+            schedule: config.schedule.clone(),
+            instance: InstanceType::cpu_node(),
+            started,
+        });
         ComputeService {
             pool: WorkerPool::new(config.model_workers.max(1)),
             capacity,
@@ -753,21 +776,18 @@ impl ComputeService {
             mix_regens: AtomicU64::new(0),
             breakers: Arc::new(Mutex::new(breakers)),
             faults: config.faults.clone().map(|p| Arc::new(Mutex::new(p))),
-            stats: Arc::new(Mutex::new(ResilienceStats::default())),
-            state: Arc::new(Mutex::new(Ledgered {
-                trace,
-                ..Ledgered::default()
-            })),
+            stats,
+            state,
             obs,
+            accounts,
             admission,
             health: Arc::new(VersionHealth::new(versions)),
             supervisor,
             rules_revision: AtomicU64::new(1),
             rules_epoch: AtomicU64::new(1),
-            served: Arc::new(AtomicUsize::new(0)),
+            served,
             started,
             version_order,
-            instance: InstanceType::cpu_node(),
             batcher: config
                 .batch
                 .enabled
@@ -1293,27 +1313,106 @@ impl ComputeService {
         brownout: Option<(Policy, f64, BrownoutLevel)>,
         trace: Option<&TraceHandle>,
     ) -> Result<ComputeOutcome, ServiceError> {
+        self.execute_at(request, brownout, trace, self.tier_of(request))
+    }
+
+    /// Resolve a request's tier against the deployed-tier table (see
+    /// [`Observability::resolve`]); `None` when observability is off.
+    pub(crate) fn tier_of(&self, request: &ServiceRequest) -> Option<TierRef> {
+        self.obs
+            .as_ref()
+            .map(|o| o.resolve(request.objective, request.tolerance.value()))
+    }
+
+    /// The tier a request is billed at: its own, or under a brownout
+    /// the looser tier actually served.
+    fn billed_tier(
+        &self,
+        tier: Option<TierRef>,
+        request: &ServiceRequest,
+        billed: f64,
+    ) -> Option<TierRef> {
+        if billed.to_bits() == request.tolerance.value().to_bits() {
+            return tier;
+        }
+        self.obs
+            .as_ref()
+            .map(|o| o.resolve(request.objective, billed))
+    }
+
+    /// Open a request's root `execute` span.
+    fn open_execute(&self, handle: &TraceHandle, request: &ServiceRequest, payload: usize) -> u32 {
+        let id = handle.open("execute", None, self.wall_us());
+        handle.attr_str(id, "objective", request.objective.name());
+        handle.attr_int(
+            id,
+            "tolerance_milli",
+            (request.tolerance.value() * 1000.0).round() as i64,
+        );
+        handle.attr_int(id, "payload", payload as i64);
+        id
+    }
+
+    /// Record the `route` span from `start_us`: the plan's kind and the
+    /// versions it names, as a static label and integers.
+    fn trace_route(
+        &self,
+        (handle, parent): (&TraceHandle, u32),
+        start_us: u64,
+        policy: Policy,
+        brownout: Option<BrownoutLevel>,
+    ) {
+        let id = handle.open("route", Some(parent), start_us);
+        let version = |key, v: usize| handle.attr_int(id, key, v as i64);
+        match policy {
+            Policy::Single { version: v } => {
+                handle.attr_str(id, "policy", "single");
+                version("version", v);
+            }
+            Policy::Cascade {
+                cheap, accurate, ..
+            } => {
+                handle.attr_str(id, "policy", "cascade");
+                version("cheap", cheap);
+                version("accurate", accurate);
+            }
+            Policy::Chain3 {
+                first,
+                second,
+                third,
+                ..
+            } => {
+                handle.attr_str(id, "policy", "chain3");
+                version("first", first);
+                version("second", second);
+                version("third", third);
+            }
+        }
+        if let Some(level) = brownout {
+            handle.attr_str(id, "brownout", level.label());
+        }
+        handle.close(id, self.wall_us());
+    }
+
+    /// [`ComputeService::execute_shaped`] for a request whose tier is
+    /// already resolved.
+    pub(crate) fn execute_at(
+        &self,
+        request: &ServiceRequest,
+        brownout: Option<(Policy, f64, BrownoutLevel)>,
+        trace: Option<&TraceHandle>,
+        tier: Option<TierRef>,
+    ) -> Result<ComputeOutcome, ServiceError> {
         let arrival = self.now();
         {
             let mut stats = self.stats.lock();
             stats.total_requests += 1;
         }
         let payload = request.payload % self.matrix.requests().max(1);
-        let root = trace.map(|handle| {
-            let id = handle.open("execute", None, self.wall_us());
-            handle.attr_str(id, "objective", request.objective.to_string());
-            handle.attr_int(
-                id,
-                "tolerance_milli",
-                (request.tolerance.value() * 1000.0).round() as i64,
-            );
-            handle.attr_int(id, "payload", payload as i64);
-            id
-        });
+        let root = trace.map(|handle| self.open_execute(handle, request, payload));
         let span = trace.zip(root);
 
-        let route_span = span
-            .map(|(handle, parent)| (handle, handle.open("route", Some(parent), self.wall_us())));
+        let route_start = self.wall_us();
         let (policy, billed_tolerance) = match brownout {
             Some((policy, billed, _)) => (policy, billed),
             None => (
@@ -1324,20 +1423,16 @@ impl ComputeService {
         policy
             .validate(self.matrix.versions())
             .expect("frontend produced a valid policy");
-        if let Some((handle, id)) = route_span {
-            handle.attr_str(id, "policy", format!("{policy:?}"));
-            if let Some((_, _, level)) = brownout {
-                handle.attr_str(id, "brownout", level.label());
-            }
-            handle.close(id, self.wall_us());
+        if let Some(span) = span {
+            self.trace_route(span, route_start, policy, brownout.map(|(_, _, l)| l));
         }
 
         let stage = match self.run_policy(policy, payload, span) {
             Ok(stage) => stage,
             Err(e) => {
                 self.stats.lock().dropped_requests += 1;
-                if let Some(obs) = &self.obs {
-                    obs.record_dropped(request.objective, request.tolerance.value());
+                if let (Some(obs), Some(tier)) = (&self.obs, &tier) {
+                    obs.record_dropped(tier);
                 }
                 if let Some((handle, id)) = span {
                     handle.attr_str(id, "outcome", "unavailable");
@@ -1347,7 +1442,7 @@ impl ComputeService {
             }
         };
 
-        Ok(self.accounts().settle(
+        Ok(self.accounts.settle(
             SettleCtx {
                 objective: request.objective,
                 declared_tolerance: request.tolerance.value(),
@@ -1357,26 +1452,10 @@ impl ComputeService {
                 payload,
                 arrival,
                 stage,
+                tier: self.billed_tier(tier, request, billed_tolerance),
             },
             span,
         ))
-    }
-
-    /// The clonable settlement bundle: every component billing and
-    /// telemetry need, detached from `&self` so deferred (batched)
-    /// settlements can run on executor threads after the handler
-    /// returned.
-    fn accounts(&self) -> Accounts {
-        Accounts {
-            matrix: Arc::clone(&self.matrix),
-            stats: Arc::clone(&self.stats),
-            state: Arc::clone(&self.state),
-            obs: self.obs.clone(),
-            served: Arc::clone(&self.served),
-            schedule: self.config.schedule.clone(),
-            instance: self.instance.clone(),
-            started: self.started,
-        }
     }
 
     /// The semantic result cache, when one is configured.
@@ -1402,6 +1481,21 @@ impl ComputeService {
         fingerprint: u64,
         trace: Option<&TraceHandle>,
     ) -> CacheServed {
+        if self.config.cache.is_none() {
+            return CacheServed::Bypass;
+        }
+        self.cache_serve_at(request, fingerprint, trace, self.tier_of(request).as_ref())
+    }
+
+    /// [`ComputeService::cache_serve`] for a request whose tier is
+    /// already resolved.
+    pub(crate) fn cache_serve_at(
+        &self,
+        request: &ServiceRequest,
+        fingerprint: u64,
+        trace: Option<&TraceHandle>,
+        tier: Option<&TierRef>,
+    ) -> CacheServed {
         let Some(cache) = &self.config.cache else {
             // No cache configured: not a bypass worth counting —
             // cache-off deployments keep empty cache metrics.
@@ -1416,11 +1510,11 @@ impl ComputeService {
                 // Epoch-fenced: this node must not serve (or refresh)
                 // pre-epoch answers, so the request bypasses the cache
                 // entirely.
-                self.note_cache_event(request, CacheEvent::Bypass);
+                self.note_cache_event(tier, CacheEvent::Bypass);
                 return CacheServed::Bypass;
             }
             Lookup::Miss => {
-                self.note_cache_event(request, CacheEvent::Miss);
+                self.note_cache_event(tier, CacheEvent::Miss);
                 return CacheServed::Miss;
             }
             Lookup::Exact(answer) => (answer, true),
@@ -1429,17 +1523,7 @@ impl ComputeService {
 
         let arrival = self.now();
         self.stats.lock().total_requests += 1;
-        let root = trace.map(|handle| {
-            let id = handle.open("execute", None, self.wall_us());
-            handle.attr_str(id, "objective", request.objective.to_string());
-            handle.attr_int(
-                id,
-                "tolerance_milli",
-                (request.tolerance.value() * 1000.0).round() as i64,
-            );
-            handle.attr_int(id, "payload", payload as i64);
-            id
-        });
+        let root = trace.map(|handle| self.open_execute(handle, request, payload));
         let span = trace.zip(root);
         if let Some((handle, parent)) = span {
             let id = handle.open("cache", Some(parent), self.wall_us());
@@ -1451,7 +1535,7 @@ impl ComputeService {
         // tier, the frontend's route (brownouts never reach here) —
         // only the execution facts are synthetic.
         let policy = self.frontend.read().route(request);
-        let outcome = self.accounts().settle(
+        let outcome = self.accounts.settle(
             SettleCtx {
                 objective: request.objective,
                 declared_tolerance: request.tolerance.value(),
@@ -1467,11 +1551,12 @@ impl ComputeService {
                     busy_us: 0,
                     invocations: 0,
                 },
+                tier: tier.cloned(),
             },
             span,
         );
         self.note_cache_event(
-            request,
+            tier,
             if exact {
                 CacheEvent::HitExact
             } else {
@@ -1520,9 +1605,9 @@ impl ComputeService {
     /// observability counters. The server calls this directly for the
     /// bypasses that never consult the cache (brownout-shaped
     /// requests, client `Cache-Control: no-cache`).
-    pub fn note_cache_event(&self, request: &ServiceRequest, event: CacheEvent) {
-        if let Some(obs) = &self.obs {
-            obs.record_cache(request.objective, request.tolerance.value(), event);
+    pub(crate) fn note_cache_event(&self, tier: Option<&TierRef>, event: CacheEvent) {
+        if let (Some(obs), Some(tier)) = (&self.obs, tier) {
+            obs.record_cache(tier, event);
         }
     }
 
@@ -1665,12 +1750,15 @@ impl ComputeService {
     /// settles through the same [`Accounts::settle`] as the
     /// synchronous path, on outcomes computed by the fault-free
     /// accounting twin of the live executor, so response fields and
-    /// billed totals are bit-identical either way.
+    /// billed totals are bit-identical either way. `tier` is the
+    /// request's tier, resolved once by the caller
+    /// ([`Observability::resolve`]).
     pub fn execute_shaped_async(
         &self,
         request: &ServiceRequest,
         brownout: Option<(Policy, f64, BrownoutLevel)>,
         trace: Option<&TraceHandle>,
+        tier: Option<TierRef>,
         done: OutcomeSink,
     ) {
         let eligible = self.batcher.is_some() && self.faults.is_none();
@@ -1683,7 +1771,7 @@ impl ComputeService {
         );
         let (Some(batcher), Some(deadline_in), true) = (&self.batcher, deadline_in, eligible)
         else {
-            return done(self.execute_shaped(request, brownout, trace));
+            return done(self.execute_at(request, brownout, trace, tier));
         };
         let (policy, billed_tolerance) = match brownout {
             Some((policy, billed, _)) => (policy, billed),
@@ -1696,7 +1784,7 @@ impl ComputeService {
             .iter()
             .all(|&v| self.allows(v))
         {
-            return done(self.execute_shaped(request, brownout, trace));
+            return done(self.execute_at(request, brownout, trace, tier));
         }
 
         // The batched fast path: the prologue mirrors
@@ -1705,25 +1793,11 @@ impl ComputeService {
         let arrival = self.now();
         self.stats.lock().total_requests += 1;
         let payload = request.payload % self.matrix.requests().max(1);
-        let root = trace.map(|handle| {
-            let id = handle.open("execute", None, self.wall_us());
-            handle.attr_str(id, "objective", request.objective.to_string());
-            handle.attr_int(
-                id,
-                "tolerance_milli",
-                (request.tolerance.value() * 1000.0).round() as i64,
-            );
-            handle.attr_int(id, "payload", payload as i64);
-            id
-        });
+        let root = trace.map(|handle| self.open_execute(handle, request, payload));
         let span = trace.zip(root);
-        if let Some((handle, parent)) = span {
-            let id = handle.open("route", Some(parent), self.wall_us());
-            handle.attr_str(id, "policy", format!("{policy:?}"));
-            if let Some((_, _, level)) = brownout {
-                handle.attr_str(id, "brownout", level.label());
-            }
-            handle.close(id, self.wall_us());
+        if let Some(span) = span {
+            let start_us = self.wall_us();
+            self.trace_route(span, start_us, policy, brownout.map(|(_, _, l)| l));
         }
         policy
             .validate(self.matrix.versions())
@@ -1745,8 +1819,9 @@ impl ComputeService {
             payload,
             arrival,
             stage,
+            tier: self.billed_tier(tier, request, billed_tolerance),
         };
-        let accounts = self.accounts();
+        let accounts = Arc::clone(&self.accounts);
         let health = Arc::clone(&self.health);
         let breakers = Arc::clone(&self.breakers);
         let handle = trace.cloned();
@@ -2132,7 +2207,12 @@ impl ComputeService {
     /// Record one executed transition: a `supervisor` span on the
     /// tracer (kind, version, rules revision, window) and a rendered
     /// line in the decision log.
-    fn note_transition(&self, rt: &mut SupervisorRuntime, kind: &str, version: Option<usize>) {
+    fn note_transition(
+        &self,
+        rt: &mut SupervisorRuntime,
+        kind: &'static str,
+        version: Option<usize>,
+    ) {
         let window = rt.automaton.windows_observed();
         let revision = self.rules_revision.load(Ordering::SeqCst);
         if let Some(obs) = &self.obs {
@@ -2212,7 +2292,14 @@ impl ComputeService {
         // Fold from the incrementally-accumulated tier economics, not
         // the event trace: a bounded trace evicts events, the
         // accumulator never loses a billed request.
-        let billing = BillingReport::from_parts(state.tiers.clone(), state.ledger.compute_cost());
+        let tiers = state
+            .tiers
+            .iter()
+            .map(|(&(objective, milli), economics)| {
+                ((objective.to_string(), milli), economics.clone())
+            })
+            .collect();
+        let billing = BillingReport::from_parts(tiers, state.ledger.compute_cost());
         ServiceSnapshot {
             served: self.served(),
             trace: state.trace.clone(),
@@ -2693,7 +2780,7 @@ mod tests {
         // One heavy round: 40 arrivals at ~8ms mean service in a 10ms
         // round at 70% utilization demands far more than 4 workers.
         for i in 0..40 {
-            obs.record_arrival(Objective::Cost, 0.05);
+            obs.record_arrival(&obs.resolve(Objective::Cost, 0.05));
             let req = ServiceRequest::new(i, Tolerance::new(0.05).unwrap(), Objective::Cost);
             svc.execute(&req).unwrap();
         }
@@ -2721,7 +2808,7 @@ mod tests {
         });
         let obs = Arc::clone(svc.observability().unwrap());
         for i in 0..40 {
-            obs.record_arrival(Objective::Cost, 0.05);
+            obs.record_arrival(&obs.resolve(Objective::Cost, 0.05));
             let req = ServiceRequest::new(i, Tolerance::new(0.05).unwrap(), Objective::Cost);
             svc.execute(&req).unwrap();
         }
@@ -2754,7 +2841,7 @@ mod tests {
         let mut tol = 0.05;
         for _ in 0..4 {
             for _ in 0..10 {
-                obs.record_arrival(Objective::Cost, tol);
+                obs.record_arrival(&obs.resolve(Objective::Cost, tol));
             }
             svc.on_window();
         }
@@ -2762,7 +2849,7 @@ mod tests {
         // 6× surge in one window.
         tol = 0.05;
         for _ in 0..60 {
-            obs.record_arrival(Objective::Cost, tol);
+            obs.record_arrival(&obs.resolve(Objective::Cost, tol));
         }
         svc.on_window();
         let status = svc.capacity_status().unwrap();
@@ -2781,7 +2868,7 @@ mod tests {
         // Calm windows revert the batch slack.
         for _ in 0..8 {
             for _ in 0..10 {
-                obs.record_arrival(Objective::Cost, tol);
+                obs.record_arrival(&obs.resolve(Objective::Cost, tol));
             }
             svc.on_window();
         }
@@ -2813,7 +2900,7 @@ mod tests {
         };
         let epoch_before = svc.rules_epoch();
         for i in 0..40 {
-            obs.record_arrival(Objective::Cost, 0.05);
+            obs.record_arrival(&obs.resolve(Objective::Cost, 0.05));
             let req = ServiceRequest::new(i, Tolerance::new(0.05).unwrap(), Objective::Cost);
             svc.execute(&req).unwrap();
         }

@@ -318,12 +318,116 @@ proptest! {
 /// Slow-loris regression: a client trickling a request one byte at a
 /// time must not pin an HTTP worker past the per-request deadline, and
 /// the worker must be free to serve well-behaved clients afterwards.
+/// Run with the deadline equal to the keep-alive timeout, and with a
+/// deadline three times longer, where the read timeout stays at the
+/// keep-alive value (and is not re-armed) until the deadline draws
+/// closer than that.
 #[test]
 fn slow_loris_cannot_pin_a_worker_past_the_request_deadline() {
     use std::io::{BufReader, Read, Write};
     use std::net::TcpStream;
-    use std::sync::Arc;
     use std::time::{Duration, Instant};
+
+    for (keep_alive_ms, deadline_ms) in [(400, 400), (300, 900)] {
+        let (addr, running) = one_worker_server(
+            Duration::from_millis(keep_alive_ms),
+            Duration::from_millis(deadline_ms),
+        );
+
+        // The loris: drip a valid-looking request far slower than the
+        // deadline allows, but fast enough that no single read waits
+        // out the keep-alive timeout.
+        let mut loris = TcpStream::connect(addr).unwrap();
+        let started = Instant::now();
+        let wire = b"POST /compute HTTP/1.1\r\nTolerance: 0.05\r\n";
+        let mut dripped = 0usize;
+        for &byte in wire.iter().cycle() {
+            if loris.write_all(&[byte]).is_err() {
+                break; // server hung up on us — the defense worked
+            }
+            dripped += 1;
+            std::thread::sleep(Duration::from_millis(30));
+            if started.elapsed() > Duration::from_secs(3) {
+                break;
+            }
+        }
+        // Whether or not the write side noticed the hang-up, the read
+        // side must see EOF: the server reaped the connection near the
+        // deadline, not after our 3-second patience budget.
+        loris
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
+        let mut sink = [0u8; 64];
+        let eof_at = Instant::now();
+        while let Ok(n) = loris.read(&mut sink) {
+            if n == 0 {
+                break;
+            }
+        }
+        assert!(
+            eof_at.elapsed() < Duration::from_secs(2),
+            "server never closed the loris connection \
+             (keep-alive {keep_alive_ms} ms, deadline {deadline_ms} ms, dripped {dripped} bytes)"
+        );
+
+        // The single worker is free again: a normal request round-trips.
+        let mut probe = TcpStream::connect(addr).unwrap();
+        probe
+            .write_all(
+                b"POST /compute HTTP/1.1\r\nTolerance: 0.05\r\nObjective: cost\r\n\
+                  Payload: 3\r\nContent-Length: 0\r\nConnection: close\r\n\r\n",
+            )
+            .unwrap();
+        let mut reader = BufReader::new(probe.try_clone().unwrap());
+        let response = tt_net::http::read_response(&mut reader, &Limits::default()).unwrap();
+        assert_eq!(response.status, 200);
+        running.stop().unwrap();
+    }
+}
+
+/// A keep-alive connection that goes quiet after one served request is
+/// closed once the keep-alive timeout passes — well before the longer
+/// request deadline — so an idle client cannot hold the only worker.
+#[test]
+fn idle_keep_alive_connection_is_reaped_after_a_served_request() {
+    use std::io::{BufReader, Read, Write};
+    use std::net::TcpStream;
+    use std::time::{Duration, Instant};
+
+    let (addr, running) = one_worker_server(Duration::from_millis(300), Duration::from_secs(3));
+    let mut conn = TcpStream::connect(addr).unwrap();
+    conn.write_all(
+        b"POST /compute HTTP/1.1\r\nTolerance: 0.05\r\nObjective: cost\r\n\
+          Payload: 3\r\nContent-Length: 0\r\nConnection: keep-alive\r\n\r\n",
+    )
+    .unwrap();
+    let mut reader = BufReader::new(conn.try_clone().unwrap());
+    let response = tt_net::http::read_response(&mut reader, &Limits::default()).unwrap();
+    assert_eq!(response.status, 200);
+    let served_at = Instant::now();
+
+    conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut sink = [0u8; 64];
+    let n = conn
+        .read(&mut sink)
+        .expect("the server closes, not our timeout");
+    let idle = served_at.elapsed();
+    assert_eq!(n, 0, "no bytes follow the only reply");
+    assert!(
+        idle >= Duration::from_millis(250) && idle < Duration::from_secs(2),
+        "idle connection reaped after {idle:?}, want the 300 ms keep-alive timeout, \
+         not the 3 s request deadline"
+    );
+    running.stop().unwrap();
+}
+
+/// A demo server with one HTTP worker, so a pinned worker shows as an
+/// unanswered probe.
+fn one_worker_server(
+    keep_alive_timeout: std::time::Duration,
+    request_deadline: std::time::Duration,
+) -> (std::net::SocketAddr, tt_net::server::RunningServer) {
+    use std::sync::Arc;
     use tt_net::demo::demo_service;
     use tt_net::server::{Server, ServerConfig};
     use tt_net::service::ServiceConfig;
@@ -333,62 +437,13 @@ fn slow_loris_cannot_pin_a_worker_past_the_request_deadline() {
         "127.0.0.1:0",
         service,
         ServerConfig {
-            // One worker: if the loris pinned it, the probe below
-            // could never be served.
             http_workers: 1,
-            keep_alive_timeout: Duration::from_millis(400),
-            request_deadline: Duration::from_millis(400),
+            keep_alive_timeout,
+            request_deadline,
             ..ServerConfig::default()
         },
     )
     .unwrap();
     let addr = server.local_addr();
-    let running = server.spawn();
-
-    // The loris: drip a valid-looking request far slower than the
-    // deadline allows.
-    let mut loris = TcpStream::connect(addr).unwrap();
-    let started = Instant::now();
-    let wire = b"POST /compute HTTP/1.1\r\nTolerance: 0.05\r\n";
-    let mut dripped = 0usize;
-    for &byte in wire.iter().cycle() {
-        if loris.write_all(&[byte]).is_err() {
-            break; // server hung up on us — the defense worked
-        }
-        dripped += 1;
-        std::thread::sleep(Duration::from_millis(30));
-        if started.elapsed() > Duration::from_secs(3) {
-            break;
-        }
-    }
-    // Whether or not the write side noticed the hang-up, the read side
-    // must see EOF: the server reaped the connection near the deadline,
-    // not after our 3-second patience budget.
-    loris
-        .set_read_timeout(Some(Duration::from_secs(2)))
-        .unwrap();
-    let mut sink = [0u8; 64];
-    let eof_at = Instant::now();
-    while let Ok(n) = loris.read(&mut sink) {
-        if n == 0 {
-            break;
-        }
-    }
-    assert!(
-        eof_at.elapsed() < Duration::from_secs(2),
-        "server never closed the loris connection (dripped {dripped} bytes)"
-    );
-
-    // The single worker is free again: a normal request round-trips.
-    let mut probe = TcpStream::connect(addr).unwrap();
-    probe
-        .write_all(
-            b"POST /compute HTTP/1.1\r\nTolerance: 0.05\r\nObjective: cost\r\n\
-              Payload: 3\r\nContent-Length: 0\r\nConnection: close\r\n\r\n",
-        )
-        .unwrap();
-    let mut reader = BufReader::new(probe.try_clone().unwrap());
-    let response = tt_net::http::read_response(&mut reader, &Limits::default()).unwrap();
-    assert_eq!(response.status, 200);
-    running.stop().unwrap();
+    (addr, server.spawn())
 }

@@ -112,6 +112,11 @@ impl BucketScheme {
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Histogram {
     scheme: BucketScheme,
+    /// Counts of buckets `0..=` the highest non-empty one: the buckets
+    /// above it are implicitly zero and not stored, so a histogram of
+    /// service times in milliseconds keeps a few hundred of the
+    /// scheme's buckets, an empty one none. Never ends in a zero, so
+    /// equal contents compare equal.
     counts: Vec<u64>,
     count: u64,
     /// Sum of recorded (saturated) values — an exact integer total.
@@ -131,7 +136,7 @@ impl Histogram {
     pub fn new(scheme: BucketScheme) -> Self {
         Histogram {
             scheme,
-            counts: vec![0; scheme.buckets()],
+            counts: Vec::new(),
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -147,7 +152,11 @@ impl Histogram {
     /// Record one value (O(1); values above the scheme cap saturate).
     pub fn record(&mut self, value: u64) {
         let v = value.min(self.scheme.max_value());
-        self.counts[self.scheme.index(v)] += 1;
+        let i = self.scheme.index(v);
+        if i >= self.counts.len() {
+            self.counts.resize(i + 1, 0);
+        }
+        self.counts[i] += 1;
         self.count += 1;
         self.sum += v;
         self.min = self.min.min(v);
@@ -217,6 +226,9 @@ impl Histogram {
             self.scheme, other.scheme,
             "cannot merge histograms with different bucket schemes"
         );
+        if other.counts.len() > self.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
         }
@@ -241,15 +253,20 @@ impl Histogram {
             self.scheme, earlier.scheme,
             "cannot diff histograms with different bucket schemes"
         );
-        let counts: Vec<u64> = self
+        assert!(
+            earlier.counts.len() <= self.counts.len(),
+            "histogram counts shrank between snapshots"
+        );
+        let mut counts: Vec<u64> = self
             .counts
             .iter()
-            .zip(&earlier.counts)
-            .map(|(now, before)| {
-                now.checked_sub(*before)
+            .enumerate()
+            .map(|(i, now)| {
+                now.checked_sub(earlier.counts.get(i).copied().unwrap_or(0))
                     .expect("histogram counts shrank between snapshots")
             })
             .collect();
+        trim(&mut counts);
         let mut delta = Histogram {
             scheme: self.scheme,
             counts,
@@ -285,6 +302,13 @@ impl Histogram {
                 (lower, width, c)
             })
     }
+}
+
+/// Drop trailing empty buckets (the [`Histogram`] storage invariant).
+fn trim(counts: &mut Vec<u64>) {
+    let len = counts.iter().rposition(|&c| c > 0).map_or(0, |i| i + 1);
+    counts.truncate(len);
+    counts.shrink_to_fit();
 }
 
 /// A lock-free multi-writer log-linear histogram.
@@ -344,11 +368,12 @@ impl AtomicHistogram {
     /// the copy is a valid histogram of a subset/superset of the
     /// in-flight updates.
     pub fn snapshot(&self) -> Histogram {
-        let counts: Vec<u64> = self
+        let mut counts: Vec<u64> = self
             .counts
             .iter()
             .map(|c| c.load(Ordering::Relaxed))
             .collect();
+        trim(&mut counts);
         let count = counts.iter().sum();
         Histogram {
             scheme: self.scheme,

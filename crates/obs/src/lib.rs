@@ -43,4 +43,6 @@ pub use hist::{AtomicHistogram, BucketScheme, Histogram};
 pub use registry::{Counter, Gauge, HistogramHandle, MetricsRegistry, MetricsSnapshot};
 pub use slo::{SloSentinel, SloTarget, SloVerdict, TierTelemetry};
 pub use span::{AttrValue, RequestTrace, SpanEvent, TraceContext, TraceHandle, Tracer};
-pub use window::{AdmissionOutcome, SealedWindow, TierWindow, WindowAccum, WindowStore};
+pub use window::{
+    AdmissionOutcome, SealedWindow, TierWindow, WindowAccum, WindowStore, WindowTier,
+};

@@ -11,16 +11,20 @@
 //! the tracer itself never reads a clock, which keeps simulated traces
 //! deterministic.
 //!
-//! Finished traces land in a ring buffer of bounded capacity (oldest
-//! evicted first), readable via [`Tracer::recent`]; each finished
+//! A request's spans and attributes are appended to one presized
+//! buffer with static names and integer or static-string values, so
+//! recording a served request allocates the handle and its buffer and
+//! nothing else. Finished traces land in a retention ring of bounded
+//! capacity (oldest evicted first) with one lock per slot rather than
+//! one for the ring, readable via [`Tracer::recent`]; each finished
 //! trace can also be appended as one JSON line to a file sink for
 //! offline correlation with load-generator logs.
 
-use std::collections::VecDeque;
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// An attribute value on a span.
@@ -29,8 +33,9 @@ use std::sync::{Arc, Mutex};
 pub enum AttrValue {
     /// An integer attribute (counts, versions, microseconds).
     Int(i64),
-    /// A string attribute (names, outcomes).
-    Str(String),
+    /// A string attribute (names, outcomes): a static label on the
+    /// serving path, an owned string for rare details (error text).
+    Str(Cow<'static, str>),
 }
 
 /// One timed span inside a request trace.
@@ -193,9 +198,47 @@ impl RequestTrace {
     }
 }
 
-#[derive(Debug, Default)]
+/// One entry of a request's span buffer: a span, or an attribute on a
+/// span opened earlier. Spans and attributes share one buffer in the
+/// order they were recorded; [`RawTrace::materialize`] groups them
+/// into [`SpanEvent`]s only when a reader asks.
+#[derive(Debug)]
+enum Record {
+    Span {
+        id: u32,
+        parent: Option<u32>,
+        name: &'static str,
+        start_us: u64,
+        end_us: u64,
+    },
+    Attr {
+        span: u32,
+        key: &'static str,
+        value: AttrValue,
+    },
+}
+
+/// Records a served request typically needs (five to seven spans and
+/// their attributes). The buffer is allocated once at this size and
+/// grows only on a long journey (retries, degradation).
+const RECORDS_PRESIZED: usize = 32;
+
+#[derive(Debug)]
 struct HandleState {
-    spans: Vec<SpanEvent>,
+    records: Vec<Record>,
+    spans: u32,
+}
+
+impl HandleState {
+    /// The end timestamp of span `id`, if it was opened.
+    fn end_us_mut(&mut self, id: u32) -> Option<&mut u64> {
+        self.records.iter_mut().rev().find_map(|r| match r {
+            Record::Span {
+                id: sid, end_us, ..
+            } if *sid == id => Some(end_us),
+            _ => None,
+        })
+    }
 }
 
 #[derive(Debug)]
@@ -227,7 +270,10 @@ impl TraceHandle {
             inner: Arc::new(HandleInner {
                 request_id,
                 context,
-                state: Mutex::new(HandleState::default()),
+                state: Mutex::new(HandleState {
+                    records: Vec::with_capacity(RECORDS_PRESIZED),
+                    spans: 0,
+                }),
             }),
         }
     }
@@ -247,17 +293,21 @@ impl TraceHandle {
         self.inner.context
     }
 
+    fn state(&self) -> std::sync::MutexGuard<'_, HandleState> {
+        self.inner.state.lock().expect("trace handle poisoned")
+    }
+
     /// Open a span; returns its ID for closing and parenting.
     pub fn open(&self, name: &'static str, parent: Option<u32>, start_us: u64) -> u32 {
-        let mut state = self.inner.state.lock().expect("trace handle poisoned");
-        let id = state.spans.len() as u32;
-        state.spans.push(SpanEvent {
+        let mut state = self.state();
+        let id = state.spans;
+        state.spans += 1;
+        state.records.push(Record::Span {
             id,
             parent,
             name,
             start_us,
             end_us: u64::MAX,
-            attrs: Vec::new(),
         });
         id
     }
@@ -265,28 +315,29 @@ impl TraceHandle {
     /// Close a span at `end_us`. Unknown IDs and double-closes are
     /// ignored (a cancelled hedge call may race the trace finishing).
     pub fn close(&self, id: u32, end_us: u64) {
-        let mut state = self.inner.state.lock().expect("trace handle poisoned");
-        if let Some(span) = state.spans.get_mut(id as usize) {
-            if !span.closed() {
-                span.end_us = end_us;
+        if let Some(end) = self.state().end_us_mut(id) {
+            if *end == u64::MAX {
+                *end = end_us;
             }
+        }
+    }
+
+    fn attr(&self, span: u32, key: &'static str, value: AttrValue) {
+        let mut state = self.state();
+        if span < state.spans {
+            state.records.push(Record::Attr { span, key, value });
         }
     }
 
     /// Attach an integer attribute to a span.
     pub fn attr_int(&self, id: u32, key: &'static str, value: i64) {
-        let mut state = self.inner.state.lock().expect("trace handle poisoned");
-        if let Some(span) = state.spans.get_mut(id as usize) {
-            span.attrs.push((key, AttrValue::Int(value)));
-        }
+        self.attr(id, key, AttrValue::Int(value));
     }
 
-    /// Attach a string attribute to a span.
-    pub fn attr_str(&self, id: u32, key: &'static str, value: impl Into<String>) {
-        let mut state = self.inner.state.lock().expect("trace handle poisoned");
-        if let Some(span) = state.spans.get_mut(id as usize) {
-            span.attrs.push((key, AttrValue::Str(value.into())));
-        }
+    /// Attach a string attribute to a span. A `&'static str` is stored
+    /// as a reference, so the serving path's labels cost no allocation.
+    pub fn attr_str(&self, id: u32, key: &'static str, value: impl Into<Cow<'static, str>>) {
+        self.attr(id, key, AttrValue::Str(value.into()));
     }
 
     /// Record an already-timed span in one call.
@@ -296,50 +347,103 @@ impl TraceHandle {
         id
     }
 
-    fn take_trace(&self) -> RequestTrace {
-        let mut state = self.inner.state.lock().expect("trace handle poisoned");
-        RequestTrace {
+    fn take_trace(&self) -> RawTrace {
+        RawTrace {
             request_id: self.inner.request_id,
-            trace_id: self.inner.context.trace_id,
-            parent_span: self.inner.context.parent_span,
-            hop: self.inner.context.hop,
-            spans: std::mem::take(&mut state.spans),
+            context: self.inner.context,
+            records: std::mem::take(&mut self.state().records),
         }
     }
 }
 
+/// A finished trace as recorded: its span buffer, moved out of the
+/// handle without copying.
 #[derive(Debug)]
-struct TracerState {
-    ring: VecDeque<RequestTrace>,
-    sink_error: bool,
+struct RawTrace {
+    request_id: u64,
+    context: TraceContext,
+    records: Vec<Record>,
+}
+
+impl RawTrace {
+    /// Group the buffer into spans with their attributes (span IDs are
+    /// their opening order, so a span's ID is its index).
+    fn materialize(&self) -> RequestTrace {
+        let mut spans: Vec<SpanEvent> = Vec::new();
+        for record in &self.records {
+            match record {
+                Record::Span {
+                    id,
+                    parent,
+                    name,
+                    start_us,
+                    end_us,
+                } => spans.push(SpanEvent {
+                    id: *id,
+                    parent: *parent,
+                    name,
+                    start_us: *start_us,
+                    end_us: *end_us,
+                    attrs: Vec::new(),
+                }),
+                Record::Attr { span, key, value } => {
+                    if let Some(s) = spans.get_mut(*span as usize) {
+                        s.attrs.push((key, value.clone()));
+                    }
+                }
+            }
+        }
+        RequestTrace {
+            request_id: self.request_id,
+            trace_id: self.context.trace_id,
+            parent_span: self.context.parent_span,
+            hop: self.context.hop,
+            spans,
+        }
+    }
+}
+
+/// One retention slot: the finished trace with sequence number `seq`
+/// (the tracer's finish order), or nothing yet.
+#[derive(Debug, Default)]
+struct Slot {
+    seq: u64,
+    trace: Option<RawTrace>,
 }
 
 /// The per-process trace collector: mints request IDs, retains the
 /// last `capacity` finished traces, and optionally appends each as a
 /// JSON line to `file_sink`.
+///
+/// Retention is a ring of `capacity` slots, each behind its own lock.
+/// A finishing trace takes the next sequence number from an atomic
+/// counter and lands in slot `seq % capacity`, replacing the trace
+/// `capacity` finishes older, so concurrent finishes contend only when
+/// they map to the same slot. A slot never goes back to an older
+/// sequence number: if the trace `capacity` finishes newer got there
+/// first, the older one is the one evicted. Evicted traces are dropped
+/// after the slot's lock is released.
 pub struct Tracer {
     capacity: usize,
     next_id: AtomicU64,
     finished: AtomicU64,
-    evicted: AtomicU64,
-    state: Mutex<TracerState>,
+    ring: Box<[Mutex<Slot>]>,
     sink: Option<Mutex<std::fs::File>>,
+    sink_error: AtomicBool,
     sink_path: Option<PathBuf>,
 }
 
 impl Tracer {
     /// A tracer retaining the last `capacity` traces in memory.
     pub fn new(capacity: usize) -> Self {
+        let capacity = capacity.max(1);
         Tracer {
-            capacity: capacity.max(1),
+            capacity,
             next_id: AtomicU64::new(1),
             finished: AtomicU64::new(0),
-            evicted: AtomicU64::new(0),
-            state: Mutex::new(TracerState {
-                ring: VecDeque::new(),
-                sink_error: false,
-            }),
+            ring: (0..capacity).map(|_| Mutex::default()).collect(),
             sink: None,
+            sink_error: AtomicBool::new(false),
             sink_path: None,
         }
     }
@@ -375,61 +479,89 @@ impl Tracer {
         TraceHandle::detached_with_context(id, context)
     }
 
-    /// Finish a trace: move its spans into the ring (evicting the
-    /// oldest past capacity) and mirror to the file sink if attached.
-    /// Spans opened on surviving handle clones *after* this call are
-    /// dropped silently — a cancelled hedge call that loses the race
-    /// cannot resurrect the request's trace.
+    fn slot(&self, seq: u64) -> std::sync::MutexGuard<'_, Slot> {
+        self.ring[(seq % self.capacity as u64) as usize]
+            .lock()
+            .expect("tracer slot poisoned")
+    }
+
+    /// Finish a trace: move its span buffer into the retention ring
+    /// (evicting the trace `capacity` finishes older) and mirror it to
+    /// the file sink if attached. Spans opened on surviving handle
+    /// clones *after* this call are dropped silently — a cancelled
+    /// hedge call that loses the race cannot resurrect the request's
+    /// trace.
     pub fn finish(&self, handle: &TraceHandle) {
         let trace = handle.take_trace();
-        let line = self.sink.is_some().then(|| trace.to_json_line());
-        {
-            let mut state = self.state.lock().expect("tracer poisoned");
-            state.ring.push_back(trace);
-            while state.ring.len() > self.capacity {
-                state.ring.pop_front();
-                self.evicted.fetch_add(1, Ordering::Relaxed);
+        let line = self
+            .sink
+            .is_some()
+            .then(|| trace.materialize().to_json_line());
+        let seq = self.finished.fetch_add(1, Ordering::AcqRel);
+        let evicted = {
+            let mut slot = self.slot(seq);
+            if slot.trace.is_none() || slot.seq < seq {
+                slot.seq = seq;
+                slot.trace.replace(trace)
+            } else {
+                Some(trace)
             }
-        }
-        self.finished.fetch_add(1, Ordering::Relaxed);
+        };
+        drop(evicted);
         if let (Some(sink), Some(line)) = (&self.sink, line) {
             let mut file = sink.lock().expect("trace sink poisoned");
             if writeln!(file, "{line}").is_err() {
-                self.state.lock().expect("tracer poisoned").sink_error = true;
+                self.sink_error.store(true, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Visit the retained traces with sequence numbers in the last
+    /// `limit` finishes, oldest first. A slot whose trace is still
+    /// being stored by a concurrent finish is skipped.
+    fn each_retained(&self, limit: usize, mut visit: impl FnMut(&RawTrace)) {
+        let finished = self.finished.load(Ordering::Acquire);
+        let keep = (limit.min(self.capacity) as u64).min(finished);
+        for seq in finished - keep..finished {
+            let slot = self.slot(seq);
+            if slot.seq == seq {
+                if let Some(trace) = &slot.trace {
+                    visit(trace);
+                }
             }
         }
     }
 
     /// The most recent finished traces, newest last, at most `limit`.
     pub fn recent(&self, limit: usize) -> Vec<RequestTrace> {
-        let state = self.state.lock().expect("tracer poisoned");
-        let skip = state.ring.len().saturating_sub(limit);
-        state.ring.iter().skip(skip).cloned().collect()
+        let mut out = Vec::new();
+        self.each_retained(limit, |t| out.push(t.materialize()));
+        out
     }
 
     /// Every retained trace belonging to fleet-wide trace `trace_id`,
     /// oldest first. A node that served several hops of the same trace
     /// (e.g. a retry relanded here) returns them all.
     pub fn find(&self, trace_id: u64) -> Vec<RequestTrace> {
-        let state = self.state.lock().expect("tracer poisoned");
-        state
-            .ring
-            .iter()
-            .filter(|t| t.trace_id == trace_id)
-            .cloned()
-            .collect()
+        let mut out = Vec::new();
+        self.each_retained(self.capacity, |t| {
+            if t.context.trace_id == trace_id {
+                out.push(t.materialize());
+            }
+        });
+        out
     }
 
     /// Total traces finished (including evicted ones).
     pub fn finished_count(&self) -> u64 {
-        self.finished.load(Ordering::Relaxed)
+        self.finished.load(Ordering::Acquire)
     }
 
     /// Finished traces evicted from the bounded ring — the tracer's
-    /// drop count. Zero in any run whose request count stays within
-    /// the configured retention.
+    /// drop count, `finished − capacity`. Zero in any run whose request
+    /// count stays within the configured retention.
     pub fn dropped_traces(&self) -> u64 {
-        self.evicted.load(Ordering::Relaxed)
+        self.finished_count().saturating_sub(self.capacity as u64)
     }
 
     /// In-memory retention capacity.
@@ -439,7 +571,7 @@ impl Tracer {
 
     /// Whether the file sink (if any) has seen no write errors.
     pub fn sink_healthy(&self) -> bool {
-        !self.state.lock().expect("tracer poisoned").sink_error
+        !self.sink_error.load(Ordering::Relaxed)
     }
 
     /// Path of the attached file sink, if any.
@@ -554,7 +686,7 @@ mod tests {
         let h = TraceHandle::detached(7);
         let s = h.span("request", None, 1, 2);
         h.attr_str(s, "note", "quo\"te\nline");
-        let line = h.take_trace().to_json_line();
+        let line = h.take_trace().materialize().to_json_line();
         assert!(line.contains("\"request_id\": 7"));
         assert!(line.contains("quo\\\"te\\nline"));
         assert!(line.contains("\"parent\": null"));

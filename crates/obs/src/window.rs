@@ -15,16 +15,19 @@
 //! Determinism rules, inherited from the rest of the crate:
 //!
 //! * no clock reads — `tick` receives its timestamp from the caller;
-//! * integer accumulation only (counts and histogram bucket sums);
+//! * integer accumulation only (counts and histogram bucket sums),
+//!   recorded into lifetime atomics, so no record takes a store-wide
+//!   lock and sealing is a difference of monotone totals;
 //! * tier keys live in a [`BTreeMap`], so iteration (and therefore
 //!   any rendering or merge) walks keys in one canonical order;
 //! * [`WindowAccum::merge`] is commutative and associative, so a
 //!   fleet-level fold over per-node accumulators does not depend on
 //!   node order.
 
-use crate::hist::{BucketScheme, Histogram};
+use crate::hist::{AtomicHistogram, BucketScheme, Histogram};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Per-tier counts inside one window. All fields are monotonic counts
 /// of *events*, so merging two windows is field-wise addition.
@@ -56,6 +59,18 @@ impl TierWindow {
         self.browned_out += other.browned_out;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
+    }
+
+    fn minus(&self, earlier: &TierWindow) -> TierWindow {
+        TierWindow {
+            arrivals: self.arrivals - earlier.arrivals,
+            admitted: self.admitted - earlier.admitted,
+            rejected: self.rejected - earlier.rejected,
+            shed: self.shed - earlier.shed,
+            browned_out: self.browned_out - earlier.browned_out,
+            cache_hits: self.cache_hits - earlier.cache_hits,
+            cache_misses: self.cache_misses - earlier.cache_misses,
+        }
     }
 
     fn is_empty(&self) -> bool {
@@ -104,6 +119,35 @@ impl WindowAccum {
         }
     }
 
+    /// What was recorded after `earlier`, an earlier fold of the same
+    /// growing totals: field-wise differences, keeping only tiers and
+    /// versions that moved.
+    fn since(&self, earlier: &WindowAccum) -> WindowAccum {
+        let tiers = self
+            .tiers
+            .iter()
+            .map(|(key, now)| {
+                let before = earlier.tiers.get(key).cloned().unwrap_or_default();
+                (key, now.minus(&before))
+            })
+            .filter(|(_, delta)| !delta.is_empty())
+            .map(|(key, delta)| (key.clone(), delta))
+            .collect();
+        let versions = self
+            .versions
+            .iter()
+            .map(|(version, now)| {
+                let delta = match earlier.versions.get(version) {
+                    Some(before) => now.delta_since(before),
+                    None => now.delta_since(&Histogram::new(now.scheme())),
+                };
+                (*version, delta)
+            })
+            .filter(|(_, delta)| delta.count() > 0)
+            .collect();
+        WindowAccum { tiers, versions }
+    }
+
     /// Total arrivals across every tier in this accumulator.
     pub fn total_arrivals(&self) -> u64 {
         self.tiers.values().map(|t| t.arrivals).sum()
@@ -132,29 +176,103 @@ pub struct SealedWindow {
     pub accum: WindowAccum,
 }
 
+/// One tier's lifetime counts as atomics: the hot path records into
+/// them without a lock, and the store renders their key and folds them
+/// into windows only when sealing or scraping. Obtain one with
+/// [`WindowStore::tier`] and keep it for the tier's lifetime.
+#[derive(Debug, Default)]
+pub struct WindowTier {
+    arrivals: AtomicU64,
+    admitted: AtomicU64,
+    rejected: AtomicU64,
+    shed: AtomicU64,
+    browned_out: AtomicU64,
+    cache_hits: AtomicU64,
+    cache_misses: AtomicU64,
+}
+
+impl WindowTier {
+    /// Count a request arriving for this tier (pre-admission).
+    pub fn record_arrival(&self) {
+        self.arrivals.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Count an admission-controller outcome for this tier.
+    pub fn record_admission(&self, outcome: AdmissionOutcome) {
+        match outcome {
+            AdmissionOutcome::Admitted => &self.admitted,
+            AdmissionOutcome::BrownedOut => &self.browned_out,
+            AdmissionOutcome::Rejected => &self.rejected,
+            AdmissionOutcome::Shed => &self.shed,
+        }
+        .fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Count a result-cache consult for this tier.
+    pub fn record_cache(&self, hit: bool) {
+        if hit {
+            &self.cache_hits
+        } else {
+            &self.cache_misses
+        }
+        .fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn load(&self) -> TierWindow {
+        TierWindow {
+            arrivals: self.arrivals.load(Ordering::Relaxed),
+            admitted: self.admitted.load(Ordering::Relaxed),
+            rejected: self.rejected.load(Ordering::Relaxed),
+            shed: self.shed.load(Ordering::Relaxed),
+            browned_out: self.browned_out.load(Ordering::Relaxed),
+            cache_hits: self.cache_hits.load(Ordering::Relaxed),
+            cache_misses: self.cache_misses.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// Model versions whose service-time histograms live in lock-free
+/// slots; a version index past this (no deployment comes close) is
+/// recorded under a lock instead.
+const VERSION_SLOTS: usize = 64;
+
 #[derive(Debug)]
-struct StoreInner {
-    open: WindowAccum,
+struct SealState {
     open_start_us: u64,
     next_index: u64,
     sealed: VecDeque<SealedWindow>,
-    cumulative: WindowAccum,
     dropped_windows: u64,
+    /// The cumulative fold at the last seal; the open window is the
+    /// cumulative fold minus this.
+    at_last_seal: WindowAccum,
 }
 
 /// Bounded ring of fixed-duration telemetry windows plus the
 /// cumulative fold of everything recorded since boot.
 ///
-/// Thread-safe via one short-critical-section mutex: every record is
-/// a handful of integer additions under the lock. The store never
-/// reads a clock; sealing happens only inside [`WindowStore::tick`],
-/// driven by the serving engines' idle heartbeat.
+/// Recording takes no store-wide lock: each tier's counts are atomics
+/// in its [`WindowTier`], and each version's service times go into a
+/// lock-free [`AtomicHistogram`]. Every count is monotone, so the
+/// store keeps only lifetime totals: a sealed window is the difference
+/// between the totals at its sealing heartbeat and at the previous
+/// one. Each recorded event therefore lands in exactly one window, and
+/// the cumulative fold is the plain total. (A sealed window's
+/// histogram min/max are recovered from its bucket bounds, within one
+/// bucket width of the true extremes; the cumulative fold's are
+/// exact.) The store never reads a clock; sealing happens only inside
+/// [`WindowStore::tick`], driven by the serving engines' idle
+/// heartbeat.
 #[derive(Debug)]
 pub struct WindowStore {
     window_us: u64,
     capacity: usize,
     scheme: BucketScheme,
-    inner: Mutex<StoreInner>,
+    /// Tier handles by key: taken when a tier is registered and when
+    /// the store is scraped or sealed, never per record.
+    tiers: Mutex<BTreeMap<String, Arc<WindowTier>>>,
+    versions: Box<[OnceLock<AtomicHistogram>]>,
+    overflow_versions: Mutex<BTreeMap<usize, Histogram>>,
+    seal: Mutex<SealState>,
 }
 
 impl WindowStore {
@@ -174,13 +292,15 @@ impl WindowStore {
             window_us,
             capacity,
             scheme,
-            inner: Mutex::new(StoreInner {
-                open: WindowAccum::default(),
+            tiers: Mutex::new(BTreeMap::new()),
+            versions: (0..VERSION_SLOTS).map(|_| OnceLock::new()).collect(),
+            overflow_versions: Mutex::new(BTreeMap::new()),
+            seal: Mutex::new(SealState {
                 open_start_us: 0,
                 next_index: 0,
                 sealed: VecDeque::new(),
-                cumulative: WindowAccum::default(),
                 dropped_windows: 0,
+                at_last_seal: WindowAccum::default(),
             }),
         }
     }
@@ -195,55 +315,51 @@ impl WindowStore {
         self.capacity
     }
 
-    /// Count a request arriving for `tier` (pre-admission).
+    /// The recording handle for tier `key`, registering it on first
+    /// use. Handles are shared: every call with the same key returns
+    /// the same counters. A tier appears in windows and in the
+    /// cumulative fold only once something is recorded against it.
+    pub fn tier(&self, key: &str) -> Arc<WindowTier> {
+        let mut tiers = self.tiers.lock().expect("window store poisoned");
+        if let Some(tier) = tiers.get(key) {
+            return Arc::clone(tier);
+        }
+        let tier = Arc::new(WindowTier::default());
+        tiers.insert(key.to_string(), Arc::clone(&tier));
+        tier
+    }
+
+    /// Count a request arriving for `tier` (pre-admission). Resolves
+    /// the key on every call; a serving path holds a [`WindowTier`].
     pub fn record_arrival(&self, tier: &str) {
-        self.record_tier(tier, |t| t.arrivals += 1);
+        self.tier(tier).record_arrival();
     }
 
     /// Count an admission-controller outcome for `tier`.
     pub fn record_admission(&self, tier: &str, outcome: AdmissionOutcome) {
-        self.record_tier(tier, |t| match outcome {
-            AdmissionOutcome::Admitted => t.admitted += 1,
-            AdmissionOutcome::BrownedOut => t.browned_out += 1,
-            AdmissionOutcome::Rejected => t.rejected += 1,
-            AdmissionOutcome::Shed => t.shed += 1,
-        });
+        self.tier(tier).record_admission(outcome);
     }
 
     /// Count a result-cache consult for `tier`.
     pub fn record_cache(&self, tier: &str, hit: bool) {
-        self.record_tier(tier, |t| {
-            if hit {
-                t.cache_hits += 1;
-            } else {
-                t.cache_misses += 1;
-            }
-        });
+        self.tier(tier).record_cache(hit);
     }
 
     /// Record one served request's accounted (simulated) service time
     /// against the answering model version.
     pub fn record_service(&self, version: usize, sim_latency_us: u64) {
-        let scheme = self.scheme;
-        let mut inner = self.inner.lock().expect("window store poisoned");
-        inner
-            .open
-            .versions
-            .entry(version)
-            .or_insert_with(|| Histogram::new(scheme))
-            .record(sim_latency_us);
-        inner
-            .cumulative
-            .versions
-            .entry(version)
-            .or_insert_with(|| Histogram::new(scheme))
-            .record(sim_latency_us);
-    }
-
-    fn record_tier(&self, tier: &str, mutate: impl Fn(&mut TierWindow)) {
-        let mut inner = self.inner.lock().expect("window store poisoned");
-        mutate(inner.open.tiers.entry(tier.to_string()).or_default());
-        mutate(inner.cumulative.tiers.entry(tier.to_string()).or_default());
+        match self.versions.get(version) {
+            Some(slot) => slot
+                .get_or_init(|| AtomicHistogram::new(self.scheme))
+                .record(sim_latency_us),
+            None => self
+                .overflow_versions
+                .lock()
+                .expect("window store poisoned")
+                .entry(version)
+                .or_insert_with(|| Histogram::new(self.scheme))
+                .record(sim_latency_us),
+        }
     }
 
     /// Heartbeat: seal the open window if it has run for at least the
@@ -255,50 +371,52 @@ impl WindowStore {
     /// `now_us` is microseconds since service start, injected by the
     /// caller — the store itself never reads a clock.
     pub fn tick(&self, now_us: u64) -> Option<u64> {
-        let mut inner = self.inner.lock().expect("window store poisoned");
-        if now_us.saturating_sub(inner.open_start_us) < self.window_us {
+        let mut seal = self.seal.lock().expect("window store poisoned");
+        if now_us.saturating_sub(seal.open_start_us) < self.window_us {
             return None;
         }
-        if inner.open.is_empty() && inner.sealed.is_empty() {
+        let total = self.cumulative();
+        let accum = total.since(&seal.at_last_seal);
+        if accum.is_empty() && seal.sealed.is_empty() {
             // Nothing has ever happened: slide the open window forward
             // instead of minting empty leading windows.
-            inner.open_start_us = now_us;
+            seal.open_start_us = now_us;
             return None;
         }
-        let index = inner.next_index;
-        inner.next_index += 1;
-        let accum = std::mem::take(&mut inner.open);
-        let start_us = inner.open_start_us;
-        inner.open_start_us = now_us;
-        inner.sealed.push_back(SealedWindow {
+        seal.at_last_seal = total;
+        let index = seal.next_index;
+        seal.next_index += 1;
+        let start_us = seal.open_start_us;
+        seal.open_start_us = now_us;
+        seal.sealed.push_back(SealedWindow {
             index,
             start_us,
             end_us: now_us,
             accum,
         });
-        while inner.sealed.len() > self.capacity {
-            inner.sealed.pop_front();
-            inner.dropped_windows += 1;
+        while seal.sealed.len() > self.capacity {
+            seal.sealed.pop_front();
+            seal.dropped_windows += 1;
         }
         Some(index)
     }
 
     /// The most recent `limit` sealed windows, oldest first.
     pub fn sealed(&self, limit: usize) -> Vec<SealedWindow> {
-        let inner = self.inner.lock().expect("window store poisoned");
-        let skip = inner.sealed.len().saturating_sub(limit);
-        inner.sealed.iter().skip(skip).cloned().collect()
+        let seal = self.seal.lock().expect("window store poisoned");
+        let skip = seal.sealed.len().saturating_sub(limit);
+        seal.sealed.iter().skip(skip).cloned().collect()
     }
 
     /// How many windows have been sealed since boot (including any
     /// since evicted from the ring).
     pub fn sealed_count(&self) -> u64 {
-        self.inner.lock().expect("window store poisoned").next_index
+        self.seal.lock().expect("window store poisoned").next_index
     }
 
     /// Sealed windows evicted from the bounded ring.
     pub fn dropped_windows(&self) -> u64 {
-        self.inner
+        self.seal
             .lock()
             .expect("window store poisoned")
             .dropped_windows
@@ -309,11 +427,30 @@ impl WindowStore {
     /// contract: independent of heartbeat timing, thread interleaving,
     /// and window boundaries.
     pub fn cumulative(&self) -> WindowAccum {
-        self.inner
+        let tiers = self
+            .tiers
             .lock()
             .expect("window store poisoned")
-            .cumulative
-            .clone()
+            .iter()
+            .map(|(key, tier)| (key, tier.load()))
+            .filter(|(_, counts)| !counts.is_empty())
+            .map(|(key, counts)| (key.clone(), counts))
+            .collect();
+        let mut versions: BTreeMap<usize, Histogram> = self
+            .versions
+            .iter()
+            .enumerate()
+            .filter_map(|(v, slot)| Some((v, slot.get()?.snapshot())))
+            .collect();
+        versions.extend(
+            self.overflow_versions
+                .lock()
+                .expect("window store poisoned")
+                .iter()
+                .map(|(v, h)| (*v, h.clone())),
+        );
+        versions.retain(|_, h| h.count() > 0);
+        WindowAccum { tiers, versions }
     }
 }
 

@@ -165,3 +165,74 @@ proptest! {
         prop_assert_eq!(restored.sum(), later.sum());
     }
 }
+
+#[test]
+fn tracer_retains_exactly_the_last_capacity_under_concurrent_finishes() {
+    use std::collections::HashSet;
+    use tt_obs::Tracer;
+
+    const THREADS: usize = 4;
+    const PER_THREAD: usize = 500;
+    const CAPACITY: usize = 64;
+    let tracer = Arc::new(Tracer::new(CAPACITY));
+    let finished_ids: Vec<Vec<u64>> = (0..THREADS)
+        .map(|_| {
+            let tracer = Arc::clone(&tracer);
+            std::thread::spawn(move || {
+                (0..PER_THREAD)
+                    .map(|i| {
+                        let h = tracer.begin();
+                        let root = h.open("request", None, i as u64);
+                        h.attr_int(root, "i", i as i64);
+                        h.close(root, i as u64 + 1);
+                        tracer.finish(&h);
+                        h.request_id()
+                    })
+                    .collect()
+            })
+        })
+        .collect::<Vec<_>>()
+        .into_iter()
+        .map(|t| t.join().unwrap())
+        .collect();
+
+    let total = (THREADS * PER_THREAD) as u64;
+    assert_eq!(tracer.finished_count(), total);
+    assert_eq!(tracer.dropped_traces(), total - CAPACITY as u64);
+    let retained = tracer.recent(CAPACITY);
+    assert_eq!(retained.len(), CAPACITY);
+    let ids: HashSet<u64> = retained.iter().map(|t| t.request_id).collect();
+    assert_eq!(ids.len(), CAPACITY, "no trace retained twice");
+    // Each thread finishes in its own order, so what survives of it is
+    // a suffix of its finishes: a retained trace implies every later
+    // trace of the same thread is retained too.
+    for own in &finished_ids {
+        let kept = own.iter().filter(|id| ids.contains(id)).count();
+        assert!(own[own.len() - kept..].iter().all(|id| ids.contains(id)));
+    }
+    for trace in &retained {
+        let found = tracer.find(trace.trace_id);
+        assert_eq!(found.len(), 1);
+        assert_eq!(&found[0], trace);
+        assert_eq!(found[0].spans[0].attrs.len(), 1);
+    }
+
+    // A sequential tail of `CAPACITY` finishes evicts every trace of
+    // the concurrent phase, and `recent` lists the tail in order.
+    let tail: Vec<u64> = (0..CAPACITY)
+        .map(|_| {
+            let h = tracer.begin();
+            h.span("request", None, 0, 1);
+            tracer.finish(&h);
+            h.request_id()
+        })
+        .collect();
+    let recent: Vec<u64> = tracer
+        .recent(CAPACITY)
+        .iter()
+        .map(|t| t.request_id)
+        .collect();
+    assert_eq!(recent, tail);
+    assert_eq!(tracer.recent(3).len(), 3);
+    assert_eq!(tracer.dropped_traces(), total);
+}
